@@ -1,10 +1,11 @@
 # Cross-check the closed-form spectra against brute force on instances
 # small enough to enumerate: matrix groups are closed under multiplication
-# until they hit their known order exactly, then every element is powered
-# to a scalar; alternating groups are scanned permutation by permutation.
+# until they hit their known order exactly, then one element of each
+# conjugacy class is powered to a scalar; alternating groups are scanned
+# permutation by permutation.
 #
 # The heavy pair (SP4_5, SL2_37) is skipped here; run them through the CLI
-# with `gk oracle SP4_5 --heavy` when you have ~0.7 GB and a few minutes.
+# with `gk oracle SP4_5 --heavy` when you have ~0.35 GB and ~15 seconds.
 #
 # Run:  python demos/oracle_crosschecks.py
 

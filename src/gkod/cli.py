@@ -14,6 +14,7 @@ import re
 import sys
 
 from . import catalog, graph, oracle, spectra, verifier
+from .arith import is_prime
 from .catalog import GroupId
 
 TABLE_GROUPS = ("S4(31)", "U3(27)", "G2(11)", "U4(31)")
@@ -23,14 +24,14 @@ class DomainError(Exception):
     """Semantically invalid request (reported on stderr, exit 1)."""
 
 
-def parse_selector(family: str, param: str) -> GroupId:
+def parse_selector(family: str, param: int) -> GroupId:
     if family in ("A", "Alt"):
-        return GroupId("A", n=int(param))
+        return GroupId("A", n=param)
     if re.fullmatch(r"2B2|2G2|2F4|2E6|3D4|G2|F4|E6|E7|E8", family):
-        return GroupId(family, q=int(param))
+        return GroupId(family, q=param)
     m = re.fullmatch(r"(O\+|O-|[LUSO])(\d+)", family)
     if m:
-        return GroupId(m.group(1), n=int(m.group(2)), q=int(param))
+        return GroupId(m.group(1), n=int(m.group(2)), q=param)
     raise DomainError(f"unknown family selector {family!r}")
 
 
@@ -42,6 +43,13 @@ def _seed() -> int:
         return int(raw, 0)
     except ValueError as exc:
         raise DomainError(f"GK_SEED must be decimal or 0x-hex, got {raw!r}") from exc
+
+
+def _prime(text: str) -> int:
+    """argparse type for --max-prime: a prime, else a usage error."""
+    if not (text.isdecimal() and is_prime(int(text))):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
+    return int(text)
 
 
 def _json_print(obj) -> None:
@@ -191,7 +199,7 @@ def cmd_oracle(args) -> int:
     if name in oracle.HEAVY_TARGETS and not args.heavy:
         raise DomainError(
             f"{name} is a heavy target (closure up to 9.4e6 elements, "
-            "~0.7 GB peak); pass --heavy to run it")
+            "~0.35 GB peak); pass --heavy to run it")
     try:
         res = oracle.run_target(name, seed=_seed())
     except ValueError as exc:
@@ -215,26 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="maximal element orders mu(S)")
     sp.add_argument("family", help="family selector: A, L2, U3, U4, S4, G2, ...")
-    sp.add_argument("param", help="field size q, or degree n for A")
+    sp.add_argument("param", type=int, help="field size q, or degree n for A")
     sp.add_argument("--json", action="store_true")
 
     gp = sub.add_parser("graph", help="prime graph and its statistics")
     gp.add_argument("family")
-    gp.add_argument("param")
+    gp.add_argument("param", type=int)
     fmt = gp.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true", help="emit DOT text")
     fmt.add_argument("--json", action="store_true")
 
     ep = sub.add_parser("enumerate", help="simple groups with largest prime "
                                           "divisor p, within search caps")
-    ep.add_argument("--max-prime", type=int, default=37)
+    ep.add_argument("--max-prime", type=_prime, default=37)
     ep.add_argument("--caps", help="caps file (key = value lines)")
     ep.add_argument("--show-caps", action="store_true")
     ep.add_argument("--json", action="store_true")
 
     vp = sub.add_parser("verify", help="mechanized case analysis")
     vp.add_argument("family")
-    vp.add_argument("param")
+    vp.add_argument("param", type=int)
     vp.add_argument("--json", action="store_true")
 
     op = sub.add_parser("oracle", help="brute-force spectrum cross-check")

@@ -306,7 +306,9 @@ def degree_classes(g: PrimeGraph) -> DegreeClasses:
     full = classes.get(k - 1, ())
     facts_ok = s >= isolated
     full_ok = (not full) or s == 1
-    assert facts_ok, "component count fell below the isolated-vertex count"
+    if not facts_ok:
+        raise AssertionError(
+            "component count fell below the isolated-vertex count")
     return DegreeClasses(classes, s, facts_ok, full_ok)
 
 

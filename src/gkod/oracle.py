@@ -8,9 +8,11 @@ exactly, and even-permutation enumeration for small alternating groups.
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
 bitlen(q-1) <= 64), which covers every target this module registers.
-Memory peaks near 60 bytes per group element during closure, so the
-largest registered target (symplectic dim 4 over F_5, 9.36e6 elements)
-stays under ~0.7 GB.
+Products with a generator are row-table lookups on the keys.  Element
+orders are class functions, so the scan labels conjugacy classes and
+computes one order per class.  Memory peaks near 35 bytes per group
+element, in the class scan: the largest registered targets, SU_4(3)
+(1.31e7 elements) and Sp_4(5) (9.36e6), stay under ~0.45 GB.
 
 Generators are obtained by seeded rejection sampling of form-preserving
 matrices rather than from transcribed literature generators; the closure
@@ -305,17 +307,6 @@ def mat_det(F, A):
         det = F.add(det, F.neg(term) if j % 2 else term)
     return det
 
-def matrix_power(F, M, e):
-    """M^e by repeated squaring."""
-    r = identity_matrix(len(M))
-    b = M
-    while e:
-        if e & 1:
-            r = mat_mul(F, r, b)
-        b = mat_mul(F, b, b)
-        e >>= 1
-    return r
-
 def _scalar_of(M):
     """lam if M = lam*I else None."""
     n = len(M)
@@ -329,9 +320,6 @@ def _scalar_of(M):
 
 # ---------------------------------------------------------------------------
 # form checks and form-preserving samplers
-
-def is_special_linear(F, M):
-    return mat_det(F, M) == 1
 
 def is_special_unitary(F, M):
     """M* M = I for the identity Gram form, conj entrywise, and det 1."""
@@ -488,7 +476,13 @@ def random_symplectic4(F, rng):
 
 
 # ---------------------------------------------------------------------------
-# packed-key batch engine
+# packed-key engine
+#
+# A dim x dim matrix packs row-major into one uint64 key, entry (0, 0) in
+# the most significant field.  Right multiplication by a fixed matrix h
+# acts on each row alone, so one table over the packed row values maps
+# the key of x to the key of x*h in dim lookups; a table whose entries
+# are laid down a column instead also transposes the product.
 
 def _bits_for(F):
     return (F.q - 1).bit_length()
@@ -527,6 +521,54 @@ def _member_mask(sorted_keys, keys):
     return (idx < sorted_keys.size) & (sorted_keys[idx_c] == keys)
 
 
+def _row_table(F, n, bits, h, transpose=False):
+    """Entry r is the packed row r*h, for every packed row value r; with
+    transpose, the key with that row as column 0 and zeros elsewhere
+    (shifting it right by c*bits moves it to column c).  Values with a
+    field >= q are no row and stay 0."""
+    rows = np.unravel_index(np.arange(F.q ** n), (F.q,) * n)
+    rows = np.stack(rows, axis=-1).astype(np.uint16)[:, None, :]
+    prod = _batch_mul(F, rows, np.array(h, dtype=np.uint16))
+    if transpose:
+        cols = np.zeros((prod.shape[0], n, n), dtype=np.uint16)
+        cols[:, :, 0] = prod[:, 0, :]
+        prod = cols
+    table = np.zeros(1 << (n * bits), dtype=np.uint64)
+    table[_pack(rows, bits)] = _pack(prod, bits)
+    return table
+
+def _apply(table, keys, n, bits, transpose=False):
+    """OR of table[row r of each key] placed back as row r; for a table
+    built with transpose, placed as column r instead."""
+    w = n * bits
+    mask = np.uint64((1 << w) - 1)
+    out = np.zeros_like(keys)
+    for r in range(n):
+        s = np.uint64((n - 1 - r) * w)
+        idx = keys >> s
+        idx &= mask
+        part = table.take(idx.view(np.int64))  # an intp index skips a cast
+        if transpose:
+            part >>= np.uint64(r * bits)
+        else:
+            part <<= s
+        out |= part
+    return out
+
+def _inverse_transpose(F, M):
+    """(M^-1)^T: the cofactor matrix of M over det M."""
+    n = len(M)
+    di = F.inv(mat_det(F, M))
+
+    def cofactor(i, j):
+        minor = tuple(tuple(M[r][c] for c in range(n) if c != j)
+                      for r in range(n) if r != i)
+        d = F.mul(di, mat_det(F, minor))
+        return F.neg(d) if (i + j) % 2 else d
+
+    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
     """Fully enumerated matrix group: field, dimension, the generators that
@@ -548,31 +590,27 @@ class MatrixGroup:
         return bool(_member_mask(self.elements, key)[0])
 
 
-def _close_once(F, dim, gens, target, chunk=_CHUNK):
+def _close_once(F, dim, gens, target):
     bits = _bits_for(F)
     if dim * dim * bits > 64:
         raise ValueError("matrix does not pack into 64 bits")
     if F.mul_table is None:
         raise ValueError(f"batch closure needs q <= {TABLE_LIMIT}")
-    gens_np = [np.array(g, dtype=np.uint16) for g in gens]
-    frontier = np.array([identity_matrix(dim)], dtype=np.uint16)
-    visited = _pack(frontier, bits)
-    while frontier.shape[0]:
-        key_chunks = []
-        for g in gens_np:
-            for lo in range(0, frontier.shape[0], chunk):
-                prod = _batch_mul(F, frontier[lo:lo + chunk], g)
-                key_chunks.append(_pack(prod, bits))
-        keys = np.unique(np.concatenate(key_chunks))
-        new = keys[~_member_mask(visited, keys)]
-        if new.size == 0:
-            break
-        visited = np.sort(np.concatenate([visited, new]))
+    tables = [_row_table(F, dim, bits, g) for g in gens]
+    frontier = visited = _pack(
+        np.array([identity_matrix(dim)], dtype=np.uint16), bits)
+    while frontier.size:
+        keys = np.sort(np.concatenate([_apply(t, frontier, dim, bits)
+                                       for t in tables]))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        at = np.searchsorted(visited, keys)
+        new = visited[np.minimum(at, visited.size - 1)] != keys
+        frontier = keys[new]
+        visited = np.insert(visited, at[new], frontier)
         if visited.size > target:
             raise FormViolationError(
                 f"closure reached {visited.size} > target {target}; a "
                 "generator violates the defining form")
-        frontier = _unpack(new, dim, bits)
     return visited
 
 
@@ -614,29 +652,57 @@ def _center_scalars(F, dim, elements):
     return tuple(out)
 
 
-def spectrum_mod_center(group: MatrixGroup, chunk: int = _CHUNK) -> Spectrum:
-    """Element orders modulo the scalar subgroup, scanned exhaustively: for
-    each element the least k with M^k scalar, reduced to an antichain."""
-    F, n = group.field, group.dim
+def _conjugation_map(group, g):
+    """Index into group.elements of g^-1 x g, for every element x."""
+    F, n, el = group.field, group.dim, group.elements
     bits = _bits_for(F)
-    center_keys = np.sort(np.concatenate([
-        _pack(np.array([[[lam if i == j else 0 for j in range(n)]
-                         for i in range(n)]], dtype=np.uint16), bits)
-        for lam in group.center_scalars]))
-    orders = set()
-    for lo in range(0, group.elements.size, chunk):
-        M = _unpack(group.elements[lo:lo + chunk], n, bits)
-        P = M.copy()
-        k = 1
-        while P.shape[0]:
-            done = _member_mask(center_keys, _pack(P, bits))
-            if done.any():
-                orders.add(k)
-                P, M = P[~done], M[~done]
-                if not P.shape[0]:
-                    break
-            P = _batch_mul(F, P, M)
-            k += 1
+    # x -> (x g)^T, then y^T -> ((y^T) (g^-1)^T)^T = g^-1 y
+    right = _row_table(F, n, bits, g, transpose=True)
+    left = _row_table(F, n, bits, _inverse_transpose(F, g), transpose=True)
+    out = np.empty(el.size, dtype=np.int32)
+    for lo in range(0, el.size, _CHUNK):
+        conj = _apply(left, _apply(right, el[lo:lo + _CHUNK], n, bits, True),
+                      n, bits, True)
+        order = np.argsort(conj)  # sorted queries search far faster
+        conj = conj[order]
+        idx = np.minimum(np.searchsorted(el, conj), el.size - 1)
+        if not np.array_equal(el[idx], conj):
+            raise FormViolationError(
+                "a conjugate by a generator lies outside the enumerated "
+                "elements")
+        out[lo + order] = idx
+    return out
+
+
+def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
+    """Class label of every element: the index in group.elements of the
+    least key in its conjugacy class.
+
+    Conjugation by the generators generates the conjugation action, so
+    the classes are the orbits of these maps; min-labels propagate along
+    each map, and pointer jumping shortens the chains, until nothing
+    changes.  Each map is a permutation, so at the fixed point every
+    label is constant on the map's cycles and hence on whole classes.
+    """
+    maps = [_conjugation_map(group, g) for g in group.generators]
+    label = np.arange(group.order, dtype=np.int32)
+    while True:
+        prev = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
+
+
+def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
+    """Element orders modulo the scalar subgroup, reduced to an antichain.
+    The order is a class function, so it is computed for one element of
+    each conjugacy class: the least k with M^k scalar."""
+    F, n = group.field, group.dim
+    reps = group.elements[np.unique(conjugacy_classes(group))]
+    orders = {element_order_mod_center(F, M, group.center_scalars)
+              for M in _unpack(reps, n, _bits_for(F)).tolist()}
     return Spectrum.from_values(orders, SOURCE_ORACLE)
 
 
@@ -652,25 +718,6 @@ def element_order_mod_center(F, M, center_scalars) -> int:
             return k
         P = mat_mul(F, P, M)
         k += 1
-
-
-def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
-    """Order of M modulo the scalars via the factored-exponent path: start
-    from a known multiple of the order and strip prime factors, testing
-    powers by repeated squaring."""
-    scal = set(center_scalars)
-
-    def central(e):
-        lam = _scalar_of(matrix_power(F, M, e))
-        return lam is not None and lam in scal
-
-    o = exponent_multiple
-    if not central(o):
-        raise ValueError("exponent_multiple is not a multiple of the order")
-    for p in _small_prime_factors(o):
-        while o % p == 0 and central(o // p):
-            o //= p
-    return o
 
 
 # ---------------------------------------------------------------------------

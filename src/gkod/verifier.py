@@ -112,7 +112,8 @@ def enumerate_with_pattern(primes, pattern) -> GraphFamily:
 
     rec()
     for g in out:
-        assert degree_pattern(g).degrees == pattern, "enumeration bug"
+        if degree_pattern(g).degrees != pattern:
+            raise AssertionError("enumeration bug")
     return GraphFamily(primes, pattern, tuple(out), True)
 
 

@@ -116,6 +116,19 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "A", "x"], "invalid int value: 'x'"),
+    (["enumerate", "--max-prime", "4"], "'4' is not a prime"),
+])
+def test_bad_argument_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: gk ") and message in err_text
+    assert "Traceback" not in err_text
+
+
 def test_unknown_family_selector(capsys):
     assert main(["spectrum", "X4", "31"]) == 1
     assert "unknown family" in capsys.readouterr().err

@@ -2,26 +2,43 @@ import random
 
 import pytest
 
+import numpy as np
+from oracle_ref import (
+    element_order_by_exponent,
+    exhaustive_orders_mod_center,
+    matrix_power,
+    scalar_closure_keys,
+)
+
 from gkod.oracle import (
     DEFAULT_SEED,
     FormViolationError,
     HEAVY_TARGETS,
     ORACLE_TARGETS,
+    MatrixGroup,
+    _bits_for,
+    _pack,
     alternating_orders_bruteforce,
     alternating_spectrum_bruteforce,
     closure,
-    element_order_by_exponent,
+    conjugacy_classes,
     element_order_mod_center,
     identity_matrix,
     make_field,
     mat_mul,
-    matrix_power,
     run_target,
     sl2_group,
     spectrum_mod_center,
     su_group,
 )
-from gkod.spectra import mu_L2, mu_S4, mu_U3, mu_alternating, omega_alternating
+from gkod.spectra import (
+    Spectrum,
+    mu_L2,
+    mu_S4,
+    mu_U3,
+    mu_alternating,
+    omega_alternating,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +194,53 @@ def test_matrix_power_matches_iteration():
         for e in range(1, 10):
             P = mat_mul(F, P, M)
             assert matrix_power(F, M, e) == P
+
+
+_SMALL_GROUPS = {
+    "SL2_4": lambda: sl2_group(4),
+    "SL2_5": lambda: sl2_group(5),
+    "SL2_7": lambda: sl2_group(7),
+    "SL2_9": lambda: sl2_group(9),
+    "SL2_13": lambda: sl2_group(13),
+    "SU3_3": lambda: su_group(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
+def test_class_scan_matches_exhaustive_scan(name):
+    grp = _SMALL_GROUPS[name]()
+    want = Spectrum.from_values(exhaustive_orders_mod_center(grp), "oracle")
+    assert spectrum_mod_center(grp).mu == want.mu
+
+
+@pytest.mark.parametrize("name", ["SL2_5", "SL2_7", "SU3_3"])
+def test_row_table_closure_matches_scalar_bfs(name):
+    grp = _SMALL_GROUPS[name]()
+    want = scalar_closure_keys(grp.field, grp.dim, grp.generators)
+    assert np.array_equal(grp.elements, want)
+
+
+@pytest.mark.parametrize("name,count", [
+    ("SL2_4", 4 + 1), ("SL2_5", 5 + 4), ("SL2_7", 7 + 4), ("SL2_9", 9 + 4),
+    ("SL2_13", 13 + 4), ("SU3_3", 14)])
+def test_conjugacy_class_counts(name, count):
+    """SL2(q) has q + 4 classes for odd q and q + 1 for even q."""
+    label = conjugacy_classes(_SMALL_GROUPS[name]())
+    assert np.unique(label).size == count
+
+
+def test_conjugate_outside_elements_is_form_violation():
+    # drop one non-central element: the generator that does not commute
+    # with it maps another element's conjugate onto the missing key
+    grp = sl2_group(5)
+    key = _pack(np.array([((1, 1), (0, 1))], dtype=np.uint16),
+                _bits_for(grp.field))
+    assert np.isin(key, grp.elements).all()
+    broken = MatrixGroup(grp.field, grp.dim, grp.generators,
+                         grp.elements[grp.elements != key[0]],
+                         grp.center_scalars)
+    with pytest.raises(FormViolationError):
+        conjugacy_classes(broken)
 
 
 def test_spectrum_mod_center_support():
