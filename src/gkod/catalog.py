@@ -9,7 +9,7 @@ isomorphisms between family labels live in checked-in data tables under
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib.resources import files
 from math import factorial, gcd
@@ -291,14 +291,24 @@ class SearchCaps:
 
     @classmethod
     def from_file(cls, path) -> "SearchCaps":
+        """Caps from `key = value` lines (blank lines and # comments skipped).
+        An unknown key or a non-integer value raises ValueError."""
+        known = [f.name for f in fields(cls)]
         vals = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, val = line.partition("=")
-                vals[key.strip()] = int(val.strip())
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key not in known:
+                    raise ValueError(f"line {lineno}: unknown key {key!r} "
+                                     f"(known: {', '.join(known)})")
+                try:
+                    vals[key] = int(val)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: {key} = {val!r} is not "
+                                     "an integer") from None
         return cls(**vals)
 
 

@@ -24,6 +24,11 @@ class DomainError(Exception):
     """Semantically invalid request (reported on stderr, exit 1)."""
 
 
+class UsageError(Exception):
+    """Malformed input that argparse cannot see, such as a bad caps file
+    (reported on stderr, exit 2)."""
+
+
 def parse_selector(family: str, param: int) -> GroupId:
     if family in ("A", "Alt"):
         return GroupId("A", n=param)
@@ -88,10 +93,19 @@ def cmd_spectrum(args) -> int:
 
 def _graph_of(g: GroupId):
     try:
-        return catalog.order_of(g), spectra.spectrum_of(g)
+        # the spectrum first: it rejects out-of-range parameters without
+        # computing an order (|A_n| for large n is slow to factorize)
+        mu = spectra.spectrum_of(g)
+        order = catalog.order_of(g)
     except (spectra.SpectrumNotImplementedError,
             spectra.UnsupportedParameterError, catalog.ParameterError) as exc:
         raise DomainError(str(exc)) from exc
+    if not order.is_complete:
+        raise DomainError(
+            f"|{g.label()}| has a prime factor above "
+            f"{catalog.ORDER_FACTOR_BOUND}; the prime graph needs the "
+            "complete factorization")
+    return order, mu
 
 
 def cmd_graph(args) -> int:
@@ -134,7 +148,13 @@ def cmd_graph(args) -> int:
 def cmd_enumerate(args) -> int:
     caps = catalog.DEFAULT_CAPS
     if args.caps:
-        caps = catalog.SearchCaps.from_file(args.caps)
+        try:
+            caps = catalog.SearchCaps.from_file(args.caps)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot read caps file {args.caps!r}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise UsageError(f"caps file {args.caps!r}: {exc}") from exc
     if args.show_caps:
         sys.stdout.write(caps.to_text())
         return 0
@@ -268,6 +288,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"gk: {exc}", file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"gk: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
-"""Slow reference paths for the packed-key oracle engine in gkod.oracle.
+"""Slow reference paths for the packed-key oracle engine in gkod.oracle
+and for the alternating-group spectrum in gkod.spectra.
 
 The engine computes element orders once per conjugacy class and closes
 groups through row tables; these are the paths it replaced, kept to check
 it: an exhaustive per-element order scan, a scalar breadth-first closure,
-and order-by-exponent arithmetic on scalar matrices.
+and order-by-exponent arithmetic on scalar matrices.  The prime-power
+criterion of spectra.mu_alternating replaced a recursion over partitions,
+kept here as partition_orders_alternating.
 """
+
+from math import lcm
 
 import numpy as np
 
@@ -91,3 +96,21 @@ def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
         while o % p == 0 and central(o // p):
             o //= p
     return o
+
+
+def partition_orders_alternating(n):
+    """Element orders of the alternating group of degree n as the lcms of
+    the partitions of n with an even number of even parts.  Exponential in
+    n; practical up to about 40."""
+    orders = set()
+
+    def rec(remaining, max_part, even_parts, l):
+        if remaining == 0:
+            if even_parts % 2 == 0:
+                orders.add(l)
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            rec(remaining - part, part, even_parts + (part % 2 == 0), lcm(l, part))
+
+    rec(n, n, 0, 1)
+    return orders

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkod.cli import main
 
@@ -107,6 +111,24 @@ def test_enumerate_caps_file(tmp_path, capsys):
     assert "L2(961)" not in data["groups"]
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read caps file"),
+    ("max_rank = x\n", "line 1: max_rank = 'x' is not an integer"),
+    ("# narrowed\nmax_ranks = 3\n", "line 2: unknown key 'max_ranks'"),
+    ("max_rank = 0\n", "caps must be positive"),
+])
+def test_enumerate_bad_caps_file_is_usage_error(content, message, tmp_path,
+                                                capsys):
+    f = tmp_path / "caps.txt"
+    if content is not None:
+        f.write_text(content, encoding="utf-8")
+    assert main(["enumerate", "--caps", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gk: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bogus-subcommand"])
@@ -166,3 +188,47 @@ def test_gk_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("GK_SEED", "not-a-seed")
     assert main(["oracle", "SL2_4"]) == 1
     assert "GK_SEED" in capsys.readouterr().err
+
+
+def test_graph_order_beyond_factor_bound_is_domain_error(capsys):
+    # |U4(2003)| has a prime factor above the order factorization bound
+    assert main(["graph", "U4", "2003"]) == 1
+    assert "factor" in capsys.readouterr().err
+
+
+_FAMILIES = ("A", "Alt", "L2", "L3", "U3", "U4", "S4", "S6", "G2", "2G2",
+             "2B2", "O+8", "E8", "X4")
+_PARAMS = st.one_of(st.integers(-3, 2100).map(str),
+                    st.sampled_from(["x", "", "3.5", "0x1f"]))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(
+        ("table1", "spectrum", "graph", "enumerate", "verify")))
+    if cmd == "table1":
+        return [cmd]
+    if cmd == "enumerate":
+        argv = [cmd]
+        if draw(st.booleans()):
+            argv += ["--max-prime", draw(st.sampled_from(
+                ("2", "3", "5", "7", "13", "37", "53", "97",
+                 "4", "1", "0", "-5", "x")))]
+        flags = draw(st.sets(st.sampled_from(("--json", "--show-caps"))))
+        return argv + sorted(flags)
+    argv = [cmd, draw(st.sampled_from(_FAMILIES)), draw(_PARAMS)]
+    choices = ("--json", "--dot") if cmd == "graph" else ("--json",)
+    return argv + sorted(draw(st.sets(st.sampled_from(choices))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_status_and_no_traceback(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in (0, 1, 2), (argv, status)
+    assert "Traceback" not in err.getvalue(), argv

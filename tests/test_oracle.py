@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import factorial
 
 import pytest
 
@@ -17,6 +19,7 @@ from gkod.oracle import (
     ORACLE_TARGETS,
     MatrixGroup,
     _bits_for,
+    _even_mask,
     _pack,
     alternating_orders_bruteforce,
     alternating_spectrum_bruteforce,
@@ -273,6 +276,15 @@ def test_alternating_a10_mu(oracle_runner):
     res = oracle_runner("A10")
     assert res.match and res.mu_oracle.mu == (8, 9, 10, 12, 15, 21)
     assert res.enumerated == 1814400
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_even_mask_matches_inversion_parity(n):
+    mask = _even_mask(n)
+    assert len(mask) == factorial(n) and sum(mask) == factorial(n) // 2
+    for perm, bit in zip(itertools.permutations(range(n)), mask):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        assert bit == (inversions % 2 == 0), perm
 
 
 def test_alternating_range_check():

@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from oracle_ref import partition_orders_alternating
 
 from gkod.arith import maximal_under_divisibility, prime_support
 from gkod.catalog import order_of, parse_label, s37_reference
@@ -61,6 +64,22 @@ def test_mu_alternating_small():
     assert mu_alternating(10).mu == (8, 9, 10, 12, 15, 21)
     assert mu_alternating(5).source == "partition"
     assert omega_alternating(5) == [1, 2, 3, 5]
+
+
+def test_mu_alternating_matches_partition_reference():
+    for n in range(5, 41):
+        assert mu_alternating(n).mu == tuple(maximal_under_divisibility(
+            partition_orders_alternating(n))), n
+
+
+def test_mu_alternating_landau_100():
+    # Landau's g(100) = 232792560 = 2^4 3^2 5 7 11 13 17 19: its prime-power
+    # sum is 97 and it is even, so 97 + 2 <= 100 puts it in omega(A_100)
+    start = time.perf_counter()
+    mu = mu_alternating.__wrapped__(100)
+    elapsed = time.perf_counter() - start
+    assert max(mu.mu) == 232792560
+    assert elapsed < 2.0
 
 
 def test_unsupported_parameters():
