@@ -7,8 +7,10 @@ result sorted ascending; downstream output stays deterministic because of
 this convention.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from math import log2
 
 DEFAULT_PRIME_BOUND = 37
 MAX_PRIME_BOUND = 10_000
@@ -73,20 +75,51 @@ def next_prime_after(p: int) -> int:
     return q
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, k >= 2, in exact integer arithmetic.
+
+    Newton's method started from a floating-point estimate, which is good
+    to about 40 bits, so a few quadratic steps suffice.  x**k - n is convex,
+    so one step from any x > 0 lands at or above the root, and from there
+    the steps decrease to it.
+    """
+    e = max(n.bit_length() - 64, 0)
+    lg = (log2(n >> e) + e) / k  # log2 of the root
+    s = max(int(lg) - 52, 0)
+    x = (int(2 ** (lg - s)) << s) + 1
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int):
-    """Return (p, k) with q = p**k, or None if q is not a prime power."""
+    """Return (p, k) with q = p**k, or None if q is not a prime power.
+
+    A prime p <= 37 dividing q is split off directly.  Otherwise every
+    prime factor exceeds 37, so q = r**k forces 41**k <= q and k <= bits/5.
+    Only prime exponents k are tried, since a k-th power is also a power
+    with each prime factor of k as exponent; at the first exact root the
+    answer is that of the root, with the exponent multiplied by k.
+    """
     if q < 2:
         return None
-    for p in primes_upto(min(q, 100_000)):
-        if p * p > q:
-            break
+    for p in _MR_BASES:  # the primes up to 37
         if q % p == 0:
             k = 0
-            m = q
-            while m % p == 0:
-                m //= p
+            while q % p == 0:
+                q //= p
                 k += 1
-            return (p, k) if m == 1 else None
+            return (p, k) if q == 1 else None
+    for k in range(2, q.bit_length() // 5 + 1):
+        if not is_prime(k):
+            continue
+        r = _iroot(q, k)
+        if r**k == q:
+            root = prime_power(r)
+            return None if root is None else (root[0], root[1] * k)
     return (q, 1) if is_prime(q) else None
 
 
@@ -226,9 +259,11 @@ def maximal_under_divisibility(values) -> list:
     the input set.
     """
     vals = sorted(set(int(v) for v in values))
-    if any(v < 1 for v in vals):
+    if vals and vals[0] < 1:
         raise ValueError("values must be >= 1")
-    return [m for m in vals if not any(v != m and v % m == 0 for v in vals)]
+    # a proper multiple of m is at least 2m
+    return [m for m in vals
+            if not any(v % m == 0 for v in vals[bisect_left(vals, 2 * m):])]
 
 
 def divisors(n: int) -> list:

@@ -370,8 +370,12 @@ def enumerate_S_p(p: int, caps: SearchCaps = DEFAULT_CAPS) -> list:
 
     chars = [r for r in plist if r <= caps.max_prime]
     for r in chars:
-        for k in range(1, caps.max_field_exponent + 1):
-            q = r**k
+        q = 1
+        for _ in range(caps.max_field_exponent):
+            q *= r
+            # every family's order has a term divisible by q - 1
+            if not _smooth_int(q - 1, plist):
+                continue
             for family in ("L", "U", "S", "O", "O+", "O-"):
                 for n in _dimension_range(family, caps.max_rank):
                     g = GroupId(family, n=n, q=q)

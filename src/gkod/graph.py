@@ -219,17 +219,36 @@ def _max_independent_size(masks: list, cand: int) -> int:
     return max(take, skip)
 
 
-def _independent(g: PrimeGraph, subset) -> bool:
-    return all(b not in g.adjacency[a] for a, b in itertools.combinations(subset, 2))
+def _lex_least_witness(g: PrimeGraph, masks: list, t: int, force=None) -> tuple:
+    """Lexicographically least independent t-set (containing force, if
+    given).  Depth-first over the vertices in order, including each before
+    skipping it, so the first set found is the least; a branch ends once the
+    chosen vertices and the open candidates number fewer than t."""
+    must = 0
+    cand = (1 << len(g.vertices)) - 1
+    if force is not None:
+        i = g.vertices.index(force)
+        must = 1 << i
+        cand &= ~masks[i]
 
+    def search(cand, need):
+        # cand holds the open vertices above the last chosen one
+        if need == 0:
+            return None if cand & must else 0
+        while cand.bit_count() >= need:
+            v = cand & -cand
+            cand &= ~v
+            rest = search(cand & ~masks[v.bit_length() - 1], need - 1)
+            if rest is not None:
+                return rest | v
+            if v & must:
+                return None
+        return None
 
-def _lex_least_witness(g: PrimeGraph, t: int, force=None):
-    for comb in itertools.combinations(g.vertices, t):
-        if force is not None and force not in comb:
-            continue
-        if _independent(g, comb):
-            return comb
-    raise AssertionError("no witness at computed independence number")
+    chosen = search(cand, t)
+    if chosen is None:
+        raise AssertionError("no witness at computed independence number")
+    return tuple(v for i, v in enumerate(g.vertices) if chosen >> i & 1)
 
 
 def independence(g: PrimeGraph):
@@ -237,7 +256,7 @@ def independence(g: PrimeGraph):
     least maximum independent set."""
     masks = _bitmasks(g)
     t = _max_independent_size(masks, (1 << len(g.vertices)) - 1)
-    return t, _lex_least_witness(g, t)
+    return t, _lex_least_witness(g, masks, t)
 
 
 def _bitmasks(g: PrimeGraph) -> list:
@@ -257,7 +276,7 @@ def independence_at(g: PrimeGraph, r: int):
     ir = g.vertices.index(r)
     cand = ((1 << len(g.vertices)) - 1) & ~(1 << ir) & ~masks[ir]
     t = 1 + _max_independent_size(masks, cand)
-    return t, _lex_least_witness(g, t, force=r)
+    return t, _lex_least_witness(g, masks, t, force=r)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Slow reference paths for the packed-key oracle engine in gkod.oracle
-and for the alternating-group spectrum in gkod.spectra.
+"""Slow reference paths for the packed-key oracle engine in gkod.oracle,
+for the alternating-group spectrum in gkod.spectra, and for the arith,
+catalog and graph routines that replaced a scan.
 
 The engine computes element orders once per conjugacy class and closes
 groups through row tables; these are the paths it replaced, kept to check
@@ -7,12 +8,29 @@ it: an exhaustive per-element order scan, a scalar breadth-first closure,
 and order-by-exponent arithmetic on scalar matrices.  The prime-power
 criterion of spectra.mu_alternating replaced a recursion over partitions,
 kept here as partition_orders_alternating.
+
+The rest are the routines replaced in arith, catalog and graph:
+prime_power by trial division over a sieve, the quadratic antichain filter,
+enumerate_S_p without the q - 1 gate, and the lexicographically least
+witness by a scan over vertex combinations.
 """
 
-from math import lcm
+import itertools
+from math import factorial, lcm
 
 import numpy as np
 
+from gkod.arith import is_prime, next_prime_after, primes_upto
+from gkod.catalog import (
+    DEFAULT_CAPS,
+    GroupId,
+    _dimension_range,
+    _order_terms,
+    _smooth_int,
+    _sporadic_table,
+    _valid_quiet,
+    canonicalize,
+)
 from gkod.oracle import (
     _batch_mul,
     _bits_for,
@@ -114,3 +132,88 @@ def partition_orders_alternating(n):
 
     rec(n, n, 0, 1)
     return orders
+
+
+def prime_power_trial(q):
+    """(p, k) with q = p**k, or None, by trial division over the primes up
+    to min(sqrt(q), 10**5) and a primality test on what is left."""
+    if q < 2:
+        return None
+    for p in primes_upto(100_000):
+        if p * p > q:
+            break
+        if q % p == 0:
+            k = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                k += 1
+            return (p, k) if m == 1 else None
+    return (q, 1) if is_prime(q) else None
+
+
+def maximal_under_divisibility_quadratic(values):
+    """Members of the set not properly dividing another member, ascending;
+    every pair is compared."""
+    vals = sorted(set(int(v) for v in values))
+    if any(v < 1 for v in vals):
+        raise ValueError("values must be >= 1")
+    return [m for m in vals if not any(v != m and v % m == 0 for v in vals)]
+
+
+def lex_least_witness_scan(g, t, force=None):
+    """First independent t-set of g (containing force, if given) among the
+    vertex combinations in lexicographic order."""
+    for comb in itertools.combinations(g.vertices, t):
+        if force is not None and force not in comb:
+            continue
+        if all(b not in g.adjacency[a] for a, b in itertools.combinations(comb, 2)):
+            return comb
+    raise AssertionError("no witness at computed independence number")
+
+
+def enumerate_S_p_ungated(p, caps=DEFAULT_CAPS):
+    """enumerate_S_p testing every family at every field size, with no
+    gate on q - 1."""
+    plist = primes_upto(p)
+    found = set()
+    hi = min(next_prime_after(p) - 1, caps.max_alt_degree)
+    for n in range(max(5, p), hi + 1):
+        o = factorial(n) // 2
+        if o % p == 0 and _smooth_int(o, plist):
+            found.add(GroupId("A", n=n))
+    for name, f in _sporadic_table().items():
+        o = f.value()
+        if o % p == 0 and _smooth_int(o, plist):
+            found.add(GroupId("Spor", name=name))
+
+    def order_if_smooth(g):
+        prefix, terms, d = _order_terms(g)
+        if not all(_smooth_int(t, plist) for t in terms):
+            return None
+        o = prefix
+        for t in terms:
+            o *= t
+        return o // d
+
+    for r in (r for r in plist if r <= caps.max_prime):
+        for k in range(1, caps.max_field_exponent + 1):
+            q = r**k
+            for family in ("L", "U", "S", "O", "O+", "O-"):
+                for n in _dimension_range(family, caps.max_rank):
+                    g = GroupId(family, n=n, q=q)
+                    if not _valid_quiet(g):
+                        continue
+                    o = order_if_smooth(g)
+                    if o is None:
+                        break
+                    if o % p == 0:
+                        found.add(canonicalize(g))
+            for family in ("G2", "F4", "E6", "E7", "E8", "2E6", "3D4",
+                           "2B2", "2G2", "2F4"):
+                g = GroupId(family, q=q)
+                if _valid_quiet(g):
+                    o = order_if_smooth(g)
+                    if o is not None and o % p == 0:
+                        found.add(canonicalize(g))
+    return sorted(found, key=GroupId.sort_key)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_ref import maximal_under_divisibility_quadratic, prime_power_trial
 
 from gkod.arith import (
     Factorization,
     NonSmoothError,
+    _iroot,
     divisor_closure,
     divisors,
     factorize,
@@ -107,6 +111,52 @@ def test_prime_helpers():
     assert prime_power(1331) == (11, 3)
     assert prime_power(12) is None
     assert prime_power(37) == (37, 1)
+
+
+def test_prime_power_roots_above_the_old_sieve():
+    assert prime_power(100003**2) == (100003, 2)
+    assert prime_power(100003**3) == (100003, 3)
+    assert prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    assert prime_power(7 * 1000003**2) is None
+    assert prime_power(2**64) == (2, 64)
+    assert prime_power(6**5) is None
+    assert prime_power(97**2000) == (97, 2000)
+    assert prime_power(10007**500) == (10007, 500)
+    assert prime_power(97**2003) == (97, 2003)
+    assert prime_power((41 * 43) ** 6) is None
+
+
+def test_iroot_is_the_floor_root():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        k = rng.randint(2, 60)
+        n = rng.randint(1, 1 << rng.randint(1, 600))
+        r = _iroot(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
+        assert _iroot(r**k, k) == r
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-1, 20000):
+        assert prime_power(q) == prime_power_trial(q), q
+
+
+def test_prime_power_builds_no_sieve():
+    primes_upto.cache_clear()
+    for q in range(2, 6001):
+        prime_power(q)
+    assert primes_upto.cache_info().currsize == 0
+
+
+def test_maximal_under_divisibility_matches_quadratic():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        top = rng.choice((30, 1000, 10**6))
+        vals = [rng.randint(1, top) for _ in range(rng.randint(1, 60))]
+        assert maximal_under_divisibility(vals) == \
+            maximal_under_divisibility_quadratic(vals)
+    with pytest.raises(ValueError):
+        maximal_under_divisibility([0, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import hashlib
 from importlib.resources import files
 
 import pytest
+from oracle_ref import enumerate_S_p_ungated
 
-from gkod.arith import is_smooth, prime_power
+from gkod.arith import is_smooth, prime_power, primes_upto
 from gkod.catalog import (
     DEFAULT_CAPS,
     GroupId,
@@ -205,6 +206,13 @@ def test_enumerate_monotone_in_caps():
     full = set(enumerate_S_p(37, DEFAULT_CAPS))
     assert narrow <= full
     assert parse_label("L2(1331)") in full - narrow  # needs exponent 3
+
+
+def test_enumerate_gate_matches_ungated_loop():
+    # the q - 1 gate only skips candidates the per-term test rejects
+    caps = SearchCaps(max_field_exponent=30, max_rank=24)
+    for p in primes_upto(31)[2:]:
+        assert enumerate_S_p(p, caps) == enumerate_S_p_ungated(p, caps), p
 
 
 def test_caps_file_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -51,6 +52,12 @@ def test_spectrum_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == {"group": "U3(27)", "mu": [84, 703, 728],
                     "source": "formula"}
+
+
+def test_spectrum_field_size_above_old_sieve_bound(capsys):
+    # q = 100003^2: the characteristic is above the 10^5 trial-division bound
+    assert main(["spectrum", "L2", "10000600009"]) == 0
+    assert "{100003, 5000300004, 5000300005}" in capsys.readouterr().out
 
 
 def test_spectrum_not_implemented_is_domain_error(capsys):
@@ -129,6 +136,15 @@ def test_enumerate_bad_caps_file_is_usage_error(content, message, tmp_path,
     assert message in captured.err
 
 
+def test_enumerate_large_field_exponent_cap(tmp_path, capsys):
+    f = tmp_path / "caps.txt"
+    f.write_text("max_field_exponent = 5000\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["enumerate", "--max-prime", "37", "--caps", str(f)]) == 0
+    assert time.perf_counter() - start < 30
+    assert "agrees with the published 13-group list" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bogus-subcommand"])
@@ -188,6 +204,13 @@ def test_gk_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("GK_SEED", "not-a-seed")
     assert main(["oracle", "SL2_4"]) == 1
     assert "GK_SEED" in capsys.readouterr().err
+
+
+def test_graph_a100_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["graph", "A", "100"]) == 0
+    assert time.perf_counter() - start < 3
+    assert capsys.readouterr().out
 
 
 def test_graph_order_beyond_factor_bound_is_domain_error(capsys):

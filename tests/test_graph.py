@@ -2,11 +2,14 @@ import json
 import random
 
 import pytest
+from oracle_ref import lex_least_witness_scan
 
 from gkod.arith import Factorization, divisor_closure, parse_factorization
 from gkod.catalog import order_of, parse_label, s37_reference
 from gkod.graph import (
     CauchyConsistencyError,
+    _bitmasks,
+    _lex_least_witness,
     DegreePattern,
     PrimeGraph,
     build_gk,
@@ -124,6 +127,36 @@ def test_independence_examples():
     k4 = PrimeGraph.from_edges((2, 3, 5, 7),
                                [(2, 3), (2, 5), (2, 7), (3, 5), (3, 7), (5, 7)])
     assert independence(k4) == (1, (2,))
+
+
+def _witness_parity(g):
+    masks = _bitmasks(g)
+    t, w = independence(g)
+    assert w == lex_least_witness_scan(g, t)
+    for s in range(1, t):
+        assert _lex_least_witness(g, masks, s) == lex_least_witness_scan(g, s)
+    for r in g.vertices:
+        tr, wr = independence_at(g, r)
+        assert wr == lex_least_witness_scan(g, tr, force=r)
+
+
+def test_witness_matches_combination_scan_on_paper_graphs():
+    labels = set(FIG_EDGES) | set(TABLE_PATTERNS)
+    labels |= {g.label() for g in s37_reference()
+               if g.family in ("A", "L", "U", "S", "G2")}
+    for label in sorted(labels):
+        _witness_parity(gk_of(label))
+
+
+def test_witness_matches_combination_scan_on_random_graphs():
+    rng = random.Random(20261018)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for _ in range(3000):
+        vs = primes[:rng.randint(1, 12)]
+        density = rng.random()
+        edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
+                 if rng.random() < density]
+        _witness_parity(PrimeGraph.from_edges(vs, edges))
 
 
 def test_independence_at_requires_vertex():
