@@ -13,11 +13,9 @@ from .arith import (
     prime_support,
 )
 from .catalog import (
-    DEFAULT_CAPS,
     GroupId,
     ParameterError,
     ScopeError,
-    SearchCaps,
     canonicalize,
     enumerate_S_p,
     order_of,

@@ -282,6 +282,24 @@ def divisors(n: int) -> list:
     return sorted(out)
 
 
+def prime_factors(n: int) -> list:
+    """Distinct primes dividing n, ascending (unbounded trial division;
+    meant for element orders and small field sizes, not group orders)."""
+    if n < 1:
+        raise ValueError("prime_factors needs n >= 1")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def divisor_closure(mu) -> list:
     """All divisors of all members of mu, ascending.
 

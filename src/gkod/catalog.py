@@ -6,16 +6,23 @@ product formulas (including division by the diagonal/center gcd, so they
 are orders of the *simple* groups).  Sporadic orders and the exceptional
 isomorphisms between family labels live in checked-in data tables under
 ``gkod/data``.
+
+The enumeration derives its finite search space from p by Zsigmondy's
+theorem (ENUMERATION_FACTS), with no tunable bounds; Lie type is searched
+in characteristic up to CHARACTERISTIC_BOUND, so the result is complete for
+p <= CHARACTERISTIC_BOUND.
 """
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
-from math import factorial, gcd
+from itertools import count
+from math import factorial, gcd, prod
 
 from .arith import (
     Factorization,
+    divisors,
     factorize,
     is_prime,
     next_prime_after,
@@ -250,16 +257,13 @@ def order_value(g: GroupId) -> int:
     if g.family == "Spor":
         return sporadic_order(g.name).value()
     prefix, terms, d = _order_terms(g)
-    o = prefix
-    for t in terms:
-        o *= t
-    return o // d
+    return prod(terms, start=prefix) // d
 
 
 def order_of(g: GroupId) -> Factorization:
     """Exact order of the simple group g, factored by trial division up to
-    10**4; primes above that remain in the residual."""
-    validate_group(g)
+    10**4; primes above that remain in the residual.  An invalid g raises
+    ParameterError from sporadic_order or order_value."""
     if g.family == "Spor":
         return sporadic_order(g.name)
     return factorize(order_value(g), ORDER_FACTOR_BOUND)
@@ -268,63 +272,21 @@ def order_of(g: GroupId) -> Factorization:
 # ---------------------------------------------------------------------------
 # enumeration of S_p
 
-@dataclass(frozen=True)
-class SearchCaps:
-    """Bounds on the enumeration search space.  Enlarging any cap can only
-    add results, never remove one."""
+# Lie type is searched in characteristic <= 37 only, so the enumeration is
+# complete exactly for p <= 37; from p = 41 on it misses groups such as
+# L2(41)
+CHARACTERISTIC_BOUND = 37
 
-    max_prime: int = 37
-    max_field_exponent: int = 20
-    max_rank: int = 20
-    max_alt_degree: int = 100
+ENUMERATION_FACTS = (
+    "Zsigmondy's theorem (1892): for r prime and e >= 1, r^e - 1 has a prime "
+    "divisor l with ord_l(r) = e, except (r, e) = (2, 1), e = 2 with r + 1 a "
+    "power of 2, and (r, e) = (2, 6)",
+)
 
-    def __post_init__(self):
-        if min(self.max_prime, self.max_field_exponent,
-               self.max_rank, self.max_alt_degree) < 1:
-            raise ValueError("caps must be positive")
-
-    def to_text(self) -> str:
-        return (f"max_prime = {self.max_prime}\n"
-                f"max_field_exponent = {self.max_field_exponent}\n"
-                f"max_rank = {self.max_rank}\n"
-                f"max_alt_degree = {self.max_alt_degree}\n")
-
-    @classmethod
-    def from_file(cls, path) -> "SearchCaps":
-        """Caps from `key = value` lines (blank lines and # comments skipped).
-        An unknown key or a non-integer value raises ValueError."""
-        known = [f.name for f in fields(cls)]
-        vals = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, val = (part.strip() for part in line.partition("="))
-                if key not in known:
-                    raise ValueError(f"line {lineno}: unknown key {key!r} "
-                                     f"(known: {', '.join(known)})")
-                try:
-                    vals[key] = int(val)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: {key} = {val!r} is not "
-                                     "an integer") from None
-        return cls(**vals)
-
-
-DEFAULT_CAPS = SearchCaps()
-
-
-def _dimension_range(family: str, max_rank: int) -> range:
-    if family == "L":
-        return range(2, max_rank + 2)
-    if family == "U":
-        return range(3, max_rank + 2)
-    if family == "S":
-        return range(4, 2 * max_rank + 1, 2)
-    if family == "O":
-        return range(7, 2 * max_rank + 2, 2)
-    return range(8, 2 * max_rank + 1, 2)  # O+/O-
+# first dimension and step of the classical families; the exceptional
+# families have no dimension and run as the single-dimension case
+_DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
+               "O+": (8, 2), "O-": (8, 2)}
 
 
 def _smooth_int(n: int, plist) -> bool:
@@ -344,64 +306,59 @@ def _valid_quiet(g: GroupId) -> bool:
         return False
 
 
-def enumerate_S_p(p: int, caps: SearchCaps = DEFAULT_CAPS) -> list:
-    """All simple groups within caps whose order is p-smooth and divisible
-    by p, canonicalized and sorted by (family, parameters).
+def _field_exponents(r: int, plist) -> list:
+    """Every f for which r^f - 1 may be p-smooth (p = plist[-1]), ascending.
 
-    No completeness claim beyond the caps; callers should report the caps
-    together with the result.
+    Outside the exceptions of Zsigmondy's theorem, r^f - 1 has a prime
+    divisor l with ord_l(r) = f; if r^f - 1 is p-smooth then l <= p, so f
+    is the order of r modulo some prime l <= p.
+    """
+    exps = {1, 2, 6}
+    for ell in plist:
+        if ell != r:
+            exps.add(next(d for d in divisors(ell - 1) if pow(r, d, ell) == 1))
+    return sorted(exps)
+
+
+def enumerate_S_p(p: int) -> list:
+    """All simple groups whose order is p-smooth and divisible by p, with Lie
+    type in characteristic at most CHARACTERISTIC_BOUND, canonicalized and
+    sorted by (family, parameters).
+
+    The search space follows from p alone: alternating degrees p up to the
+    next prime, field exponents from Zsigmondy's theorem (_field_exponents),
+    and ranks up to the first term with a prime factor above p, which by
+    Zsigmondy's theorem always occurs (q^i - 1 with q = r^f and fi >= p has
+    a primitive prime divisor l = 1 mod fi, so l > p).  The result is
+    complete for p <= CHARACTERISTIC_BOUND.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     plist = primes_upto(p)
-    found = set()
-
-    # alternating: degrees past the next prime above p pick up a larger prime
-    hi = min(next_prime_after(p) - 1, caps.max_alt_degree)
-    for n in range(max(5, p), hi + 1):
-        o = factorial(n) // 2
-        if o % p == 0 and _smooth_int(o, plist):
-            found.add(GroupId("A", n=n))
+    # n!/2 has exactly the primes up to n, so n in [p, next prime) is in S_p
+    found = {GroupId("A", n=n) for n in range(max(5, p), next_prime_after(p))}
 
     for name, f in _sporadic_table().items():
         o = f.value()
         if o % p == 0 and _smooth_int(o, plist):
             found.add(GroupId("Spor", name=name))
 
-    chars = [r for r in plist if r <= caps.max_prime]
-    for r in chars:
-        q = 1
-        for _ in range(caps.max_field_exponent):
-            q *= r
+    for r in primes_upto(min(p, CHARACTERISTIC_BOUND)):
+        for f in _field_exponents(r, plist):
+            q = r**f
             # every family's order has a term divisible by q - 1
             if not _smooth_int(q - 1, plist):
                 continue
-            for family in ("L", "U", "S", "O", "O+", "O-"):
-                for n in _dimension_range(family, caps.max_rank):
+            for family in FAMILIES[1:-1]:  # the 16 Lie families
+                dims = count(*_DIMENSIONS[family]) if family in _DIMENSIONS else (None,)
+                for n in dims:
                     g = GroupId(family, n=n, q=q)
                     if not _valid_quiet(g):
                         continue
                     prefix, terms, d = _order_terms(g)
                     if not all(_smooth_int(t, plist) for t in terms):
                         break  # every larger n repeats a non-smooth divisor
-                    o = prefix
-                    for t in terms:
-                        o *= t
-                    o //= d
-                    if o % p == 0:
-                        found.add(canonicalize(g))
-            for family in ("G2", "F4", "E6", "E7", "E8", "2E6", "3D4",
-                           "2B2", "2G2", "2F4"):
-                g = GroupId(family, q=q)
-                if not _valid_quiet(g):
-                    continue
-                prefix, terms, d = _order_terms(g)
-                if all(_smooth_int(t, plist) for t in terms):
-                    o = prefix
-                    for t in terms:
-                        o *= t
-                    o //= d
-                    if o % p == 0:
+                    if prod(terms, start=prefix) // d % p == 0:
                         found.add(canonicalize(g))
     return sorted(found, key=GroupId.sort_key)
 

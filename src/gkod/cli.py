@@ -24,11 +24,6 @@ class DomainError(Exception):
     """Semantically invalid request (reported on stderr, exit 1)."""
 
 
-class UsageError(Exception):
-    """Malformed input that argparse cannot see, such as a bad caps file
-    (reported on stderr, exit 2)."""
-
-
 def parse_selector(family: str, param: int) -> GroupId:
     if family in ("A", "Alt"):
         return GroupId("A", n=param)
@@ -146,40 +141,27 @@ def cmd_graph(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    caps = catalog.DEFAULT_CAPS
-    if args.caps:
-        try:
-            caps = catalog.SearchCaps.from_file(args.caps)
-        except OSError as exc:
-            raise UsageError(
-                f"cannot read caps file {args.caps!r}: {exc.strerror}") from exc
-        except ValueError as exc:
-            raise UsageError(f"caps file {args.caps!r}: {exc}") from exc
-    if args.show_caps:
-        sys.stdout.write(caps.to_text())
-        return 0
-    groups = catalog.enumerate_S_p(args.max_prime, caps)
+    groups = catalog.enumerate_S_p(args.max_prime)
     labels = [g.label() for g in groups]
+    complete = args.max_prime <= catalog.CHARACTERISTIC_BOUND
     agrees = None
     if args.max_prime == 37:
         agrees = labels == [g.label() for g in catalog.s37_reference()]
     if args.json:
-        out = {"max_prime": args.max_prime,
-               "caps": {"max_prime": caps.max_prime,
-                        "max_field_exponent": caps.max_field_exponent,
-                        "max_rank": caps.max_rank,
-                        "max_alt_degree": caps.max_alt_degree},
+        out = {"max_prime": args.max_prime, "complete": complete,
+               "assumed_facts": list(catalog.ENUMERATION_FACTS),
                "count": len(labels), "groups": labels}
         if agrees is not None:
             out["agrees_with_published"] = agrees
         _json_print(out)
     else:
         print(f"simple groups S with {args.max_prime} in pi(S) <= "
-              f"{{2..{args.max_prime}}} within caps: {len(labels)}")
+              f"{{2..{args.max_prime}}}: {len(labels)}")
         for lab in labels:
             print(f"  {lab}")
-        print(f"caps: max_field_exponent={caps.max_field_exponent}, "
-              f"max_rank={caps.max_rank}, max_alt_degree={caps.max_alt_degree}")
+        print(f"scope: Lie type in characteristic <= "
+              f"{catalog.CHARACTERISTIC_BOUND}, field exponents and ranks from "
+              f"Zsigmondy's theorem ({'complete' if complete else 'incomplete'})")
         if agrees is not None:
             print("agrees with the published 13-group list"
                   if agrees else "DISAGREES with the published list")
@@ -254,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true")
 
     ep = sub.add_parser("enumerate", help="simple groups with largest prime "
-                                          "divisor p, within search caps")
+                                          "divisor p (complete for p <= "
+                                          f"{catalog.CHARACTERISTIC_BOUND})")
     ep.add_argument("--max-prime", type=_prime, default=37)
-    ep.add_argument("--caps", help="caps file (key = value lines)")
-    ep.add_argument("--show-caps", action="store_true")
     ep.add_argument("--json", action="store_true")
 
     vp = sub.add_parser("verify", help="mechanized case analysis")
@@ -288,9 +269,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"gk: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"gk: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

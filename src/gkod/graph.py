@@ -12,22 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, divisor_closure
-
-
-def _support_unbounded(m: int) -> set:
-    """Prime support by plain trial division; fine for element orders."""
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
+from .arith import Factorization, divisor_closure, prime_factors
 
 
 class CauchyConsistencyError(ValueError):
@@ -148,7 +133,7 @@ def build_gk(order: Factorization, mu) -> PrimeGraph:
         raise ValueError("order factorization must be complete")
     support = set()
     for m in mu_vals:
-        support.update(_support_unbounded(m))
+        support.update(prime_factors(m))
     extra = sorted(support - set(vertices))
     if extra:
         raise CauchyConsistencyError(extra[0], "divides the spectrum but not the order")

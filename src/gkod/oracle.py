@@ -28,7 +28,7 @@ from math import factorial, lcm
 
 import numpy as np
 
-from .arith import is_prime, prime_power
+from .arith import is_prime, prime_factors, prime_power
 from .spectra import (
     SOURCE_ORACLE,
     Spectrum,
@@ -110,18 +110,6 @@ def _pgcd(a, b, p):
         a, b = b, r
     return a
 
-def _small_prime_factors(n):
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
 def _poly_eq(u, v):
     n = max(len(u), len(v))
     return list(u) + [0] * (n - len(u)) == list(v) + [0] * (n - len(v))
@@ -130,7 +118,7 @@ def _is_irreducible(f, p, k):
     x = [0, 1]
     if not _poly_eq(_ppowmod(x, p**k, f, p), x):
         return False
-    for ell in _small_prime_factors(k):
+    for ell in prime_factors(k):
         xe = _ppowmod(x, p ** (k // ell), f, p)
         diff = [(a - b) % p for a, b in
                 itertools.zip_longest(xe, x, fillvalue=0)]
@@ -180,7 +168,7 @@ class Field:
         self.encode, self.decode = encode, decode
 
         # least primitive element, then exp/log over it
-        fac = _small_prime_factors(q - 1) if q > 2 else []
+        fac = prime_factors(q - 1)
         gen = 1
         for cand in range(1, q):
             cp = _ptrim(list(decode(cand)))

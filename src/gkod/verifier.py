@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from .arith import Factorization
 from .catalog import (
-    DEFAULT_CAPS,
     GroupId,
     ScopeError,
     enumerate_S_p,
@@ -231,7 +230,7 @@ class CaseReport:
 
 @lru_cache(maxsize=1)
 def _catalog_s37():
-    computed = enumerate_S_p(37, DEFAULT_CAPS)
+    computed = enumerate_S_p(37)
     reference = s37_reference()
     agrees = [g.label() for g in computed] == [g.label() for g in reference]
     return computed, reference, agrees

@@ -11,7 +11,8 @@ kept here as partition_orders_alternating.
 
 The rest are the routines replaced in arith, catalog and graph:
 prime_power by trial division over a sieve, the quadratic antichain filter,
-enumerate_S_p without the q - 1 gate, and the lexicographically least
+enumerate_S_p over plain bounds with no q - 1 gate and no search space
+from Zsigmondy's theorem, and the lexicographically least
 witness by a scan over vertex combinations.
 """
 
@@ -20,11 +21,9 @@ from math import factorial, lcm
 
 import numpy as np
 
-from gkod.arith import is_prime, next_prime_after, primes_upto
+from gkod.arith import is_prime, prime_factors, primes_upto
 from gkod.catalog import (
-    DEFAULT_CAPS,
     GroupId,
-    _dimension_range,
     _order_terms,
     _smooth_int,
     _sporadic_table,
@@ -37,7 +36,6 @@ from gkod.oracle import (
     _member_mask,
     _pack,
     _scalar_of,
-    _small_prime_factors,
     _unpack,
     identity_matrix,
     mat_mul,
@@ -110,7 +108,7 @@ def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
     o = exponent_multiple
     if not central(o):
         raise ValueError("exponent_multiple is not a multiple of the order")
-    for p in _small_prime_factors(o):
+    for p in prime_factors(o):
         while o % p == 0 and central(o // p):
             o //= p
     return o
@@ -172,13 +170,14 @@ def lex_least_witness_scan(g, t, force=None):
     raise AssertionError("no witness at computed independence number")
 
 
-def enumerate_S_p_ungated(p, caps=DEFAULT_CAPS):
-    """enumerate_S_p testing every family at every field size, with no
+def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=100):
+    """enumerate_S_p testing every family at every field size r^k with
+    k <= max_field_exponent and rank <= max_rank, in every characteristic
+    r <= p, and every alternating degree up to max_alt_degree, with no
     gate on q - 1."""
     plist = primes_upto(p)
     found = set()
-    hi = min(next_prime_after(p) - 1, caps.max_alt_degree)
-    for n in range(max(5, p), hi + 1):
+    for n in range(5, max_alt_degree + 1):
         o = factorial(n) // 2
         if o % p == 0 and _smooth_int(o, plist):
             found.add(GroupId("A", n=n))
@@ -196,11 +195,16 @@ def enumerate_S_p_ungated(p, caps=DEFAULT_CAPS):
             o *= t
         return o // d
 
-    for r in (r for r in plist if r <= caps.max_prime):
-        for k in range(1, caps.max_field_exponent + 1):
+    dimensions = {
+        "L": range(2, max_rank + 2), "U": range(3, max_rank + 2),
+        "S": range(4, 2 * max_rank + 1, 2), "O": range(7, 2 * max_rank + 2, 2),
+        "O+": range(8, 2 * max_rank + 1, 2), "O-": range(8, 2 * max_rank + 1, 2),
+    }
+    for r in plist:
+        for k in range(1, max_field_exponent + 1):
             q = r**k
-            for family in ("L", "U", "S", "O", "O+", "O-"):
-                for n in _dimension_range(family, caps.max_rank):
+            for family, ns in dimensions.items():
+                for n in ns:
                     g = GroupId(family, n=n, q=q)
                     if not _valid_quiet(g):
                         continue

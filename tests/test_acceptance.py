@@ -16,7 +16,7 @@ from gkod.arith import (
     maximal_under_divisibility,
     prime_support,
 )
-from gkod.catalog import DEFAULT_CAPS, enumerate_S_p, order_of, parse_label
+from gkod.catalog import enumerate_S_p, order_of, parse_label
 from gkod.graph import (
     build_gk,
     components,
@@ -95,7 +95,7 @@ def test_criterion_2_figure_reproduction():
 
 def test_criterion_3_s37_enumeration():
     t0 = time.time()
-    got = [g.label() for g in enumerate_S_p(37, DEFAULT_CAPS)]
+    got = [g.label() for g in enumerate_S_p(37)]
     elapsed = time.time() - t0
     assert got == PUBLISHED_13
     assert elapsed < 60.0

@@ -17,6 +17,7 @@ from gkod.arith import (
     maximal_under_divisibility,
     next_prime_after,
     parse_factorization,
+    prime_factors,
     prime_power,
     prime_support,
     primes_upto,
@@ -215,3 +216,12 @@ def test_divisors_all_divide(n):
     ds = divisors(n)
     assert all(n % d == 0 for d in ds)
     assert ds[0] == 1 and ds[-1] == n
+
+
+def test_prime_factors_matches_bounded_factorization():
+    for n in range(1, 10**4):
+        assert prime_factors(n) == list(factorize(n, 10**4).primes()), n
+    # a prime above the trial-division bound of factorize
+    assert prime_factors(2**3 * 7 * 10007**2) == [2, 7, 10007]
+    with pytest.raises(ValueError):
+        prime_factors(0)

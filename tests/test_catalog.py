@@ -1,4 +1,5 @@
 import hashlib
+import time
 from importlib.resources import files
 
 import pytest
@@ -6,11 +7,10 @@ from oracle_ref import enumerate_S_p_ungated
 
 from gkod.arith import is_smooth, prime_power, primes_upto
 from gkod.catalog import (
-    DEFAULT_CAPS,
     GroupId,
     ParameterError,
     ScopeError,
-    SearchCaps,
+    _field_exponents,
     canonicalize,
     enumerate_S_p,
     order_of,
@@ -130,7 +130,7 @@ def test_parse_label_roundtrip():
 
 
 def test_enumerate_s37_matches_published():
-    got = enumerate_S_p(37, DEFAULT_CAPS)
+    got = enumerate_S_p(37)
     assert [g.label() for g in got] == [g.label() for g in s37_reference()]
     assert len(got) == 13
     for g in got:
@@ -199,30 +199,37 @@ def test_enumerate_p37_against_brute_force():
     assert brute == enumerate_S_p(37)
 
 
-def test_enumerate_monotone_in_caps():
-    small = SearchCaps(max_prime=37, max_field_exponent=2,
-                       max_rank=4, max_alt_degree=40)
-    narrow = set(enumerate_S_p(37, small))
-    full = set(enumerate_S_p(37, DEFAULT_CAPS))
-    assert narrow <= full
-    assert parse_label("L2(1331)") in full - narrow  # needs exponent 3
-
-
 def test_enumerate_gate_matches_ungated_loop():
-    # the q - 1 gate only skips candidates the per-term test rejects
-    caps = SearchCaps(max_field_exponent=30, max_rank=24)
-    for p in primes_upto(31)[2:]:
-        assert enumerate_S_p(p, caps) == enumerate_S_p_ungated(p, caps), p
+    # the derived search space and the q - 1 gate only skip candidates that
+    # an exhaustive loop over plain bounds rejects
+    for p in primes_upto(37)[2:]:
+        assert enumerate_S_p(p) == enumerate_S_p_ungated(p), p
 
 
-def test_caps_file_roundtrip(tmp_path):
-    caps = SearchCaps(max_prime=11, max_field_exponent=3,
-                      max_rank=5, max_alt_degree=20)
-    f = tmp_path / "caps.txt"
-    f.write_text(caps.to_text(), encoding="utf-8")
-    assert SearchCaps.from_file(f) == caps
-    with pytest.raises(ValueError):
-        SearchCaps(max_prime=0)
+def test_field_exponents_cover_every_smooth_exponent():
+    for p in primes_upto(97):
+        plist = primes_upto(p)
+        for r in primes_upto(min(p, 37)):
+            exps = set(_field_exponents(r, plist))
+            for f in range(1, 2 * p + 1):
+                if is_smooth(r**f - 1, p):
+                    assert f in exps, (p, r, f)
+
+
+def test_enumerate_large_prime_alternating_tail():
+    start = time.perf_counter()
+    labels = [g.label() for g in enumerate_S_p(997)]
+    assert time.perf_counter() - start < 5
+    # no prime lies in 998..1008, the degrees up to the next prime 1009
+    assert {f"A{n}" for n in range(997, 1009)} <= set(labels)
+    assert "A1009" not in labels
+
+
+def test_order_of_rejects_invalid_groups():
+    with pytest.raises(ParameterError):
+        order_of(GroupId("L", n=2, q=6))
+    with pytest.raises(ParameterError):
+        order_of(GroupId("Spor", name="M25"))
 
 
 def test_out_primes_bounded():

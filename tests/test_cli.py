@@ -91,7 +91,15 @@ def test_enumerate_json(capsys):
     assert data["count"] == 13
     assert data["agrees_with_published"] is True
     assert "L2(1331)" in data["groups"]
-    assert data["caps"]["max_alt_degree"] == 100
+    assert data["complete"] is True
+    assert any("Zsigmondy" in fact for fact in data["assumed_facts"])
+
+
+def test_enumerate_json_incomplete_above_characteristic_bound(capsys):
+    assert main(["enumerate", "--max-prime", "41", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["complete"] is False
+    assert "agrees_with_published" not in data
 
 
 def test_enumerate_p5(capsys):
@@ -100,49 +108,14 @@ def test_enumerate_p5(capsys):
     assert "A5" in out and "U4(2)" in out and "A6" in out
 
 
-def test_enumerate_show_caps(capsys):
-    assert main(["enumerate", "--show-caps"]) == 0
-    out = capsys.readouterr().out
-    assert out == ("max_prime = 37\nmax_field_exponent = 20\n"
-                   "max_rank = 20\nmax_alt_degree = 100\n")
-
-
-def test_enumerate_caps_file(tmp_path, capsys):
-    f = tmp_path / "caps.txt"
-    f.write_text("max_prime = 37\nmax_field_exponent = 1\n"
-                 "max_rank = 3\nmax_alt_degree = 40\n", encoding="utf-8")
-    assert main(["enumerate", "--max-prime", "37", "--caps", str(f),
-                 "--json"]) == 1  # narrowed caps disagree with published
-    data = json.loads(capsys.readouterr().out)
-    assert data["agrees_with_published"] is False
-    assert "L2(961)" not in data["groups"]
-
-
-@pytest.mark.parametrize("content,message", [
-    (None, "cannot read caps file"),
-    ("max_rank = x\n", "line 1: max_rank = 'x' is not an integer"),
-    ("# narrowed\nmax_ranks = 3\n", "line 2: unknown key 'max_ranks'"),
-    ("max_rank = 0\n", "caps must be positive"),
-])
-def test_enumerate_bad_caps_file_is_usage_error(content, message, tmp_path,
-                                                capsys):
-    f = tmp_path / "caps.txt"
-    if content is not None:
-        f.write_text(content, encoding="utf-8")
-    assert main(["enumerate", "--caps", str(f)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("gk: ") and captured.err.count("\n") == 1
-    assert message in captured.err
-
-
-def test_enumerate_large_field_exponent_cap(tmp_path, capsys):
-    f = tmp_path / "caps.txt"
-    f.write_text("max_field_exponent = 5000\n", encoding="utf-8")
-    start = time.perf_counter()
-    assert main(["enumerate", "--max-prime", "37", "--caps", str(f)]) == 0
-    assert time.perf_counter() - start < 30
-    assert "agrees with the published 13-group list" in capsys.readouterr().out
+@pytest.mark.parametrize("flags", [["--caps", "f"], ["--show-caps"]],
+                         ids=["caps", "show-caps"])
+def test_enumerate_caps_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate"] + flags)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("usage: gk ") and "unrecognized arguments" in err_text
 
 
 def test_usage_error_exit_code():
@@ -237,8 +210,7 @@ def _argv(draw):
             argv += ["--max-prime", draw(st.sampled_from(
                 ("2", "3", "5", "7", "13", "37", "53", "97",
                  "4", "1", "0", "-5", "x")))]
-        flags = draw(st.sets(st.sampled_from(("--json", "--show-caps"))))
-        return argv + sorted(flags)
+        return argv + (["--json"] if draw(st.booleans()) else [])
     argv = [cmd, draw(st.sampled_from(_FAMILIES)), draw(_PARAMS)]
     choices = ("--json", "--dot") if cmd == "graph" else ("--json",)
     return argv + sorted(draw(st.sets(st.sampled_from(choices))))
