@@ -13,14 +13,12 @@ import time
 
 from gkod.oracle import HEAVY_TARGETS, ORACLE_TARGETS, make_field, run_target
 
-# finite fields are built deterministically: least irreducible polynomial,
-# least primitive element
-F27 = make_field(3, 3)
-print(f"F_27 = F_3[x]/({F27.poly_str()}), primitive element "
-      f"{F27.decode(F27.generator)} of order "
-      f"{F27.multiplicative_order(F27.generator)}")
-F4 = make_field(2, 2)
-print(f"F_4  = F_2[x]/({F4.poly_str()})")
+# finite fields are built deterministically from tables: the least
+# irreducible polynomial (coefficients low to high), the least primitive
+# element (coefficients as base-p digits)
+for p, k in ((3, 3), (2, 2)):
+    F = make_field(p, k)
+    print(f"F_{F.q:<3} poly {F.poly}, primitive element {F.generator}")
 print()
 
 for name in ORACLE_TARGETS:

@@ -98,22 +98,25 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(q: int):
     """Return (p, k) with q = p**k, or None if q is not a prime power.
 
-    A prime p <= 37 dividing q is split off directly.  Otherwise every
-    prime factor exceeds 37, so q = r**k forces 41**k <= q and k <= bits/5.
-    Only prime exponents k are tried, since a k-th power is also a power
-    with each prime factor of k as exponent; at the first exact root the
-    answer is that of the root, with the exponent multiplied by k.
+    A small prime p dividing q is split off directly: one up to 37, or,
+    for q above 64 bits, one up to MAX_PRIME_BOUND.  Otherwise every prime
+    factor exceeds the largest trial prime t, so q = r**k forces
+    2**(bitlen(t) - 1) < r and k <= bits / (bitlen(t) - 1).  Only prime
+    exponents k are tried, since a k-th power is also a power with each
+    prime factor of k as exponent; at the first exact root the answer is
+    that of the root, with the exponent multiplied by k.
     """
     if q < 2:
         return None
-    for p in _MR_BASES:  # the primes up to 37
+    trial = _MR_BASES if q.bit_length() <= 64 else primes_upto(MAX_PRIME_BOUND)
+    for p in trial:
         if q % p == 0:
             k = 0
             while q % p == 0:
                 q //= p
                 k += 1
             return (p, k) if q == 1 else None
-    for k in range(2, q.bit_length() // 5 + 1):
+    for k in range(2, q.bit_length() // (trial[-1].bit_length() - 1) + 1):
         if not is_prime(k):
             continue
         r = _iroot(q, k)

@@ -1,18 +1,20 @@
 """Brute-force ground truth for the spectrum formulas.
 
 Three independent mechanisms live here: finite-field arithmetic over
-F_{p^k} (elements encoded as base-p digit integers), matrix-group closure
-under multiplication certified by hitting the closed-form group order
-exactly, and even-permutation enumeration for small alternating groups.
+F_{p^k} (elements encoded as base-p digit integers, every operation a
+lookup in q x q numpy tables), matrix-group closure under multiplication
+certified by hitting the closed-form group order exactly, and
+even-permutation enumeration for small alternating groups.
 
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
 bitlen(q-1) <= 64), which covers every target this module registers.
 Products with a generator are row-table lookups on the keys.  Element
 orders are class functions, so the scan labels conjugacy classes and
-computes one order per class.  Memory peaks near 35 bytes per group
-element, in the class scan: the largest registered targets, SU_4(3)
-(1.31e7 elements) and Sp_4(5) (9.36e6), stay under ~0.45 GB.
+powers one representative of each, all together, until it is central.
+Memory peaks near 35 bytes per group element, in the class labelling:
+the largest registered targets, SU_4(3) (1.31e7 elements) and Sp_4(5)
+(9.36e6), stay under ~0.45 GB.
 
 Generators are obtained by seeded rejection sampling of form-preserving
 matrices rather than from transcribed literature generators; the closure
@@ -23,12 +25,12 @@ size certificate makes the construction self-checking, and an undershoot
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, lcm
 
 import numpy as np
 
-from .arith import is_prime, prime_factors, prime_power
+from .arith import is_prime, prime_power
 from .spectra import (
     SOURCE_ORACLE,
     Spectrum,
@@ -40,9 +42,9 @@ from .spectra import (
 )
 
 DEFAULT_SEED = 0xA11CE
-TABLE_LIMIT = 1024        # q up to this gets full numpy add/mul tables
-MAX_FIELD_SIZE = 1 << 16
-MAX_CLOSURE = 10**7
+TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
+MAX_CLOSURE = 1 << 24     # covers SU_4(3), 13,063,680 elements
+MAX_RETRIES = 6
 _CHUNK = 1 << 20
 
 
@@ -55,169 +57,74 @@ class ClosureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (little-endian coefficient lists)
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-def _pmulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _pmodred(res, f, p)
-
-def _pmodred(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    while len(a) > df:
-        c = a[-1] % p
-        if c:
-            shift = len(a) - 1 - df
-            for i in range(df + 1):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-def _ppowmod(a, e, f, p):
-    r, b = [1], _pmodred(list(a), f, p)
-    while e:
-        if e & 1:
-            r = _pmulmod(r, b, f, p)
-        b = _pmulmod(b, b, f, p)
-        e >>= 1
-    return r
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        db = len(b) - 1
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while r and len(r) - 1 >= db:
-            c = r[-1] * inv % p
-            if c:
-                shift = len(r) - 1 - db
-                for i in range(db + 1):
-                    r[shift + i] = (r[shift + i] - c * b[i]) % p
-            r.pop()
-            _ptrim(r)
-        a, b = b, r
-    return a
-
-def _poly_eq(u, v):
-    n = max(len(u), len(v))
-    return list(u) + [0] * (n - len(u)) == list(v) + [0] * (n - len(v))
-
-def _is_irreducible(f, p, k):
-    x = [0, 1]
-    if not _poly_eq(_ppowmod(x, p**k, f, p), x):
-        return False
-    for ell in prime_factors(k):
-        xe = _ppowmod(x, p ** (k // ell), f, p)
-        diff = [(a - b) % p for a, b in
-                itertools.zip_longest(xe, x, fillvalue=0)]
-        if len(_pgcd(f, diff, p)) != 1:
-            return False
-    return True
-
-def _find_irreducible(p, k):
-    """Monic irreducible of degree k with the least low-coefficient
-    encoding sum(c_i p^i); unique deterministic choice."""
-    if k == 1:
-        return [0, 1]
-    for enc in range(p**k):
-        f = [(enc // p**i) % p for i in range(k)] + [1]
-        if _is_irreducible(f, p, k):
-            return f
-    raise AssertionError("no irreducible polynomial found")
-
-
-# ---------------------------------------------------------------------------
 # fields
+
+def _mul_table(p, digits, low):
+    """q x q product table of F_p[x]/(f) on base-p codes, where digits[a]
+    are the coefficients of a and low those of f below its leading x^k.
+    x*v shifts the digits of v up one place and subtracts its top digit
+    times low; then a*b = sum_i b_i (x^i a), one matrix product."""
+    q, k = digits.shape
+    xa = [digits]
+    for _ in range(k - 1):
+        v = xa[-1]
+        xa.append((np.pad(v[:, :-1], ((0, 0), (1, 0))) - v[:, -1:] * low) % p)
+    prod = digits @ np.stack(xa, axis=1)  # [a, b, j]: digit j of a*b, mod p
+    return (prod % p @ p ** np.arange(k)).astype(np.uint16)
+
 
 class Field:
     """F_{p^k}; elements are ints 0..q-1 encoding coefficient vectors in
-    base p (little-endian), reduced modulo a fixed irreducible polynomial.
+    base p (little-endian), reduced modulo poly, the monic irreducible of
+    degree k with the least low-coefficient encoding sum(c_i p^i).
 
-    Multiplication runs through exp/log tables over the least primitive
-    element; q <= TABLE_LIMIT additionally gets dense q x q add/mul numpy
-    tables for the batch matrix engine.
+    Everything is a table: the candidates f are tried in that order, each
+    through its q x q multiplication table, and the first without zero
+    divisors (f irreducible) is kept.  The least element of order q - 1,
+    found by powering through the table, is the generator; exp/log over it
+    give inverses and powers.  Fields are bounded by TABLE_LIMIT.
     """
 
     def __init__(self, p: int, k: int):
         q = p**k
-        if not (1 <= k <= 6 and q <= MAX_FIELD_SIZE):
-            raise ValueError(f"field bounds exceeded: need k <= 6 and p^k <= {MAX_FIELD_SIZE}")
+        if not (1 <= k <= 6 and q <= TABLE_LIMIT):
+            raise ValueError(f"field bounds exceeded: need k <= 6 and p^k <= {TABLE_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p, self.k, self.q = p, k, q
-        self.poly = tuple(_find_irreducible(p, k))
+        digits = np.arange(q)[:, None] // p ** np.arange(k) % p
+        weights = p ** np.arange(k)
+        self.add_table = ((digits[:, None, :] + digits[None, :, :]) % p
+                          @ weights).astype(np.uint16)
+        self.neg_table = (-digits % p @ weights).astype(np.uint16)
+        for enc in range(q):
+            mul = _mul_table(p, digits, digits[enc])
+            if mul[1:, 1:].all():
+                break
+        self.poly = tuple(digits[enc].tolist()) + (1,)
+        self.mul_table = mul
 
-        def encode(coeffs):
-            return sum(c % p * p**i for i, c in enumerate(coeffs))
-
-        def decode(a):
-            return tuple((a // p**i) % p for i in range(k))
-
-        self.encode, self.decode = encode, decode
-
-        # least primitive element, then exp/log over it
-        fac = prime_factors(q - 1)
-        gen = 1
-        for cand in range(1, q):
-            cp = _ptrim(list(decode(cand)))
-            if all(not _poly_eq(_ppowmod(cp, (q - 1) // ell, self.poly, p), [1])
-                   for ell in fac):
-                gen = cand
+        for gen in range(1, q):
+            exp, x = [1], gen
+            while x != 1:
+                exp.append(x)
+                x = int(mul[x, gen])
+            if len(exp) == q - 1:
                 break
         self.generator = gen
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        cur, gp = [1], _ptrim(list(decode(gen)))
-        for i in range(q - 1):
-            e = encode(cur + [0] * k)
-            exp[i] = e
-            log[e] = i
-            cur = _pmulmod(cur, gp, self.poly, p)
-        self._exp, self._log = exp, log
-
-        if q <= TABLE_LIMIT:
-            idx = np.arange(q)
-            add = np.zeros((q, q), dtype=np.uint16)
-            for i in range(k):
-                di = (idx // p**i) % p
-                add += (((di[:, None] + di[None, :]) % p) * p**i).astype(np.uint16)
-            mul = np.zeros((q, q), dtype=np.uint16)
-            la = log[1:q]
-            mul[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
-            self.add_table, self.mul_table = add, mul
-            self.neg_table = np.argmax(add == 0, axis=1).astype(np.uint16)
-        else:
-            self.add_table = self.mul_table = self.neg_table = None
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._exp] = np.arange(q - 1)
 
     # scalar operations -----------------------------------------------------
     def add(self, a, b):
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        p = self.p
-        return self.encode([(x + y) % p for x, y in
-                            zip(self.decode(a), self.decode(b))])
+        return int(self.add_table[a, b])
 
     def neg(self, a):
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        return self.encode([-x % self.p for x in self.decode(a)])
+        return int(self.neg_table[a])
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return int(self.mul_table[a, b])
 
     def inv(self, a):
         if a == 0:
@@ -229,59 +136,21 @@ class Field:
             return 0 if e else 1
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def conj(self, a):
         """x -> x^(p^(k/2)), the involution of the quadratic subextension."""
         if self.k % 2:
             raise ValueError("conj needs an even-degree extension")
         return self.pow(a, self.p ** (self.k // 2))
 
-    def multiplicative_order(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        from math import gcd
-        return (self.q - 1) // gcd(self.q - 1, int(self._log[a]))
-
-    def poly_str(self):
-        terms = []
-        for i in range(self.k, -1, -1):
-            c = self.poly[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                terms.append(x if c == 1 else f"{c}{x}")
-        return " + ".join(terms)
-
 
 @lru_cache(maxsize=32)
 def make_field(p: int, k: int) -> Field:
-    """Field descriptor for F_{p^k}; p prime, 1 <= k <= 6, p^k <= 2^16."""
+    """Field descriptor for F_{p^k}; p prime, 1 <= k <= 6, p^k <= TABLE_LIMIT."""
     return Field(p, k)
 
 
 # ---------------------------------------------------------------------------
 # scalar matrix helpers (tuples of tuples of element codes)
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-def mat_mul(F, A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s = F.add(s, F.mul(A[i][k], B[k][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
 
 def mat_det(F, A):
     n = len(A)
@@ -294,16 +163,6 @@ def mat_det(F, A):
         term = F.mul(A[0][j], mat_det(F, minor))
         det = F.add(det, F.neg(term) if j % 2 else term)
     return det
-
-def _scalar_of(M):
-    """lam if M = lam*I else None."""
-    n = len(M)
-    lam = M[0][0]
-    for i in range(n):
-        for j in range(n):
-            if M[i][j] != (lam if i == j else 0):
-                return None
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +368,13 @@ def _member_mask(sorted_keys, keys):
     return (idx < sorted_keys.size) & (sorted_keys[idx_c] == keys)
 
 
+def _scalar_keys(F, dim, lams):
+    """Packed keys of lam * I for each lam, ascending with lam."""
+    M = np.zeros((len(lams), dim, dim), dtype=np.uint16)
+    M[:, range(dim), range(dim)] = np.asarray(lams, dtype=np.uint16)[:, None]
+    return _pack(M, _bits_for(F))
+
+
 def _row_table(F, n, bits, h, transpose=False):
     """Entry r is the packed row r*h, for every packed row value r; with
     transpose, the key with that row as column 0 and zeros elsewhere
@@ -582,11 +448,8 @@ def _close_once(F, dim, gens, target):
     bits = _bits_for(F)
     if dim * dim * bits > 64:
         raise ValueError("matrix does not pack into 64 bits")
-    if F.mul_table is None:
-        raise ValueError(f"batch closure needs q <= {TABLE_LIMIT}")
     tables = [_row_table(F, dim, bits, g) for g in gens]
-    frontier = visited = _pack(
-        np.array([identity_matrix(dim)], dtype=np.uint16), bits)
+    frontier = visited = _scalar_keys(F, dim, [1])
     while frontier.size:
         keys = np.sort(np.concatenate([_apply(t, frontier, dim, bits)
                                        for t in tables]))
@@ -603,41 +466,31 @@ def _close_once(F, dim, gens, target):
 
 
 def closure(generators, target_order: int, field: Field, dim: int,
-            sampler=None, rng=None, max_retries: int = 6,
-            budget: int = MAX_CLOSURE) -> MatrixGroup:
+            sample=None) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication.
 
-    Succeeds exactly when the closure size equals target_order.  On an
-    undershoot (the generators span a proper subgroup) one extra sampled
-    generator is added and the closure restarts, up to max_retries; growth
-    past the target raises FormViolationError immediately.  budget guards
-    against accidentally huge targets; builders that know their size pass a
-    matching budget.
+    Succeeds exactly when the closure size equals target_order, which may
+    not exceed MAX_CLOSURE.  On an undershoot (the generators span a
+    proper subgroup) the generator sample() returns is added and the
+    closure restarts, up to MAX_RETRIES times; with no sample, an
+    undershoot fails at once.  Growth past the target raises
+    FormViolationError immediately.
     """
-    if target_order > budget:
-        raise ValueError(f"target order {target_order} above closure budget {budget}")
+    if target_order > MAX_CLOSURE:
+        raise ValueError(f"target order {target_order} above MAX_CLOSURE = {MAX_CLOSURE}")
     gens = list(generators)
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         elements = _close_once(field, dim, gens, target_order)
         if elements.size == target_order:
-            center = _center_scalars(field, dim, elements)
-            return MatrixGroup(field, dim, tuple(gens), elements, center)
-        if sampler is None or rng is None:
+            lams = np.arange(1, field.q)
+            center = lams[_member_mask(elements, _scalar_keys(field, dim, lams))]
+            return MatrixGroup(field, dim, tuple(gens), elements,
+                               tuple(center.tolist()))
+        if sample is None:
             break
-        gens.append(sampler(rng))
+        gens.append(sample())
     raise ClosureError(
         f"closure stalled at {elements.size} of {target_order} after retries")
-
-
-def _center_scalars(F, dim, elements):
-    bits = _bits_for(F)
-    out = []
-    for lam in range(1, F.q):
-        M = np.array([[[lam if i == j else 0 for j in range(dim)]
-                       for i in range(dim)]], dtype=np.uint16)
-        if _member_mask(elements, _pack(M, bits))[0]:
-            out.append(lam)
-    return tuple(out)
 
 
 def _conjugation_map(group, g):
@@ -685,27 +538,23 @@ def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
 
 def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
     """Element orders modulo the scalar subgroup, reduced to an antichain.
+
     The order is a class function, so it is computed for one element of
-    each conjugacy class: the least k with M^k scalar."""
+    each conjugacy class: all representatives are powered together, and
+    each drops out at the least k with M^k one of the group's scalars."""
     F, n = group.field, group.dim
-    reps = group.elements[np.unique(conjugacy_classes(group))]
-    orders = {element_order_mod_center(F, M, group.center_scalars)
-              for M in _unpack(reps, n, _bits_for(F)).tolist()}
-    return Spectrum.from_values(orders, SOURCE_ORACLE)
-
-
-def element_order_mod_center(F, M, center_scalars) -> int:
-    """Naive order of M modulo the scalars: iterate M, M^2, ... until a
-    scalar from the given set appears."""
-    scal = set(center_scalars)
-    P = M
-    k = 1
-    while True:
-        lam = _scalar_of(P)
-        if lam is not None and lam in scal:
-            return k
-        P = mat_mul(F, P, M)
+    bits = _bits_for(F)
+    center = _scalar_keys(F, n, group.center_scalars)
+    M = _unpack(group.elements[np.unique(conjugacy_classes(group))], n, bits)
+    P, k, orders = M, 1, set()
+    while P.shape[0]:
+        done = _member_mask(center, _pack(P, bits))
+        if done.any():
+            orders.add(k)
+            P, M = P[~done], M[~done]
+        P = _batch_mul(F, P, M)
         k += 1
+    return Spectrum.from_values(orders, SOURCE_ORACLE)
 
 
 # ---------------------------------------------------------------------------
@@ -762,47 +611,36 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # named targets
 
+def _sampled_closure(F, dim, sampler, target, seed):
+    """Closure of two generators drawn by sampler(rng) from a seeded rng,
+    which also draws any extra generator on an undershoot."""
+    sample = partial(sampler, random.Random(seed))
+    return closure([sample(), sample()], target, F, dim, sample)
+
+
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SL_2(q) by closure; target order q(q^2-1)."""
-    p, k = prime_power(q)
-    F = make_field(p, k)
-    rng = random.Random(seed)
-
-    def sampler(r):
-        return random_special_linear(F, 2, r)
-
-    gens = [sampler(rng), sampler(rng)]
-    return closure(gens, q * (q * q - 1), F, 2, sampler=sampler, rng=rng)
+    F = make_field(*prime_power(q))
+    return _sampled_closure(F, 2, partial(random_special_linear, F, 2),
+                            q * (q * q - 1), seed)
 
 
 def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SU_n(q) inside GL_n(q^2); target q^(n(n-1)/2) prod(q^i - (-1)^i)."""
     p, k = prime_power(q)
     F = make_field(p, 2 * k)
-    rng = random.Random(seed)
-
-    def sampler(r):
-        return random_special_unitary(F, n, r)
-
     target = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
         target *= q**i - (-1) ** i
-    gens = [sampler(rng), sampler(rng)]
-    return closure(gens, target, F, n, sampler=sampler, rng=rng, budget=target)
+    return _sampled_closure(F, n, partial(random_special_unitary, F, n),
+                            target, seed)
 
 
 def sp4_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """Sp_4(q); target order q^4 (q^2-1)(q^4-1)."""
-    p, k = prime_power(q)
-    F = make_field(p, k)
-    rng = random.Random(seed)
-
-    def sampler(r):
-        return random_symplectic4(F, r)
-
-    gens = [sampler(rng), sampler(rng)]
-    return closure(gens, q**4 * (q * q - 1) * (q**4 - 1), F, 4,
-                   sampler=sampler, rng=rng)
+    F = make_field(*prime_power(q))
+    return _sampled_closure(F, 4, partial(random_symplectic4, F),
+                            q**4 * (q * q - 1) * (q**4 - 1), seed)
 
 
 @dataclass(frozen=True)
@@ -815,17 +653,17 @@ class OracleResult:
 
 
 _MATRIX_TARGETS = {
-    # name: (builder args, formula)
-    "SL2_4": (("sl2", 4), lambda: mu_L2(4)),
-    "SL2_5": (("sl2", 5), lambda: mu_L2(5)),
-    "SL2_7": (("sl2", 7), lambda: mu_L2(7)),
-    "SL2_9": (("sl2", 9), lambda: mu_L2(9)),
-    "SL2_13": (("sl2", 13), lambda: mu_L2(13)),
-    "SL2_37": (("sl2", 37), lambda: mu_L2(37)),
-    "SU3_3": (("su", 3, 3), lambda: mu_U3(3)),
-    "SU3_5": (("su", 3, 5), lambda: mu_U3(5)),
-    "SU4_3": (("su", 4, 3), lambda: mu_U4(3)),
-    "SP4_5": (("sp4", 5), lambda: mu_S4(5)),
+    # name: (group constructor taking seed=, formula)
+    "SL2_4": (partial(sl2_group, 4), partial(mu_L2, 4)),
+    "SL2_5": (partial(sl2_group, 5), partial(mu_L2, 5)),
+    "SL2_7": (partial(sl2_group, 7), partial(mu_L2, 7)),
+    "SL2_9": (partial(sl2_group, 9), partial(mu_L2, 9)),
+    "SL2_13": (partial(sl2_group, 13), partial(mu_L2, 13)),
+    "SL2_37": (partial(sl2_group, 37), partial(mu_L2, 37)),
+    "SU3_3": (partial(su_group, 3, 3), partial(mu_U3, 3)),
+    "SU3_5": (partial(su_group, 3, 5), partial(mu_U3, 5)),
+    "SU4_3": (partial(su_group, 4, 3), partial(mu_U4, 3)),
+    "SP4_5": (partial(sp4_group, 5), partial(mu_S4, 5)),
 }
 
 HEAVY_TARGETS = frozenset({"SL2_37", "SP4_5"})
@@ -845,13 +683,8 @@ def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
     if name not in _MATRIX_TARGETS:
         raise ValueError(f"unknown oracle target {name!r} "
                          f"(known: {', '.join(ORACLE_TARGETS)})")
-    (kind, *args), formula = _MATRIX_TARGETS[name]
-    if kind == "sl2":
-        grp = sl2_group(args[0], seed)
-    elif kind == "su":
-        grp = su_group(args[0], args[1], seed)
-    else:
-        grp = sp4_group(args[0], seed)
+    build, formula = _MATRIX_TARGETS[name]
+    grp = build(seed=seed)
     mu_o = spectrum_mod_center(grp)
     mu_f = formula()
     return OracleResult(name, grp.order, mu_o, mu_f, mu_o.mu == mu_f.mu)

@@ -2,12 +2,14 @@
 for the alternating-group spectrum in gkod.spectra, and for the arith,
 catalog and graph routines that replaced a scan.
 
-The engine computes element orders once per conjugacy class and closes
-groups through row tables; these are the paths it replaced, kept to check
-it: an exhaustive per-element order scan, a scalar breadth-first closure,
-and order-by-exponent arithmetic on scalar matrices.  The prime-power
-criterion of spectra.mu_alternating replaced a recursion over partitions,
-kept here as partition_orders_alternating.
+The engine builds fields from tables, computes element orders once per
+conjugacy class and closes groups through row tables; these are the paths
+it replaced, kept to check it: fields built by polynomial arithmetic (a
+Rabin irreducibility test, a primitive-element test on the (q-1)/l-th
+powers), scalar matrix products, an exhaustive per-element order scan on
+them, a scalar breadth-first closure, and order-by-exponent arithmetic.
+The prime-power criterion of spectra.mu_alternating replaced a recursion
+over partitions, kept here as partition_orders_alternating.
 
 The rest are the routines replaced in arith, catalog and graph:
 prime_power by trial division over a sieve, the quadratic antichain filter,
@@ -18,6 +20,7 @@ witness by a scan over vertex combinations.
 
 import itertools
 from math import factorial, lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,40 +33,196 @@ from gkod.catalog import (
     _valid_quiet,
     canonicalize,
 )
-from gkod.oracle import (
-    _batch_mul,
-    _bits_for,
-    _member_mask,
-    _pack,
-    _scalar_of,
-    _unpack,
-    identity_matrix,
-    mat_mul,
-)
+from gkod.oracle import _bits_for, _pack, _unpack
+
+
+# ---------------------------------------------------------------------------
+# fields by polynomial arithmetic over F_p (little-endian coefficient lists)
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % p
+    return _pmodred(res, f, p)
+
+
+def _pmodred(a, f, p):
+    a = list(a)
+    df = len(f) - 1
+    while len(a) > df:
+        c = a[-1] % p
+        if c:
+            shift = len(a) - 1 - df
+            for i in range(df + 1):
+                a[shift + i] = (a[shift + i] - c * f[i]) % p
+        a.pop()
+    return _ptrim(a)
+
+
+def _ppowmod(a, e, f, p):
+    r, b = [1], _pmodred(list(a), f, p)
+    while e:
+        if e & 1:
+            r = _pmulmod(r, b, f, p)
+        b = _pmulmod(b, b, f, p)
+        e >>= 1
+    return r
+
+
+def _pgcd(a, b, p):
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        db = len(b) - 1
+        inv = pow(b[-1], p - 2, p)
+        r = list(a)
+        while r and len(r) - 1 >= db:
+            c = r[-1] * inv % p
+            if c:
+                shift = len(r) - 1 - db
+                for i in range(db + 1):
+                    r[shift + i] = (r[shift + i] - c * b[i]) % p
+            r.pop()
+            _ptrim(r)
+        a, b = b, r
+    return a
+
+
+def _poly_eq(u, v):
+    n = max(len(u), len(v))
+    return list(u) + [0] * (n - len(u)) == list(v) + [0] * (n - len(v))
+
+
+def _is_irreducible(f, p, k):
+    """Rabin's test: x^(p^k) = x mod f, and gcd(f, x^(p^(k/l)) - x) = 1
+    for every prime l dividing k."""
+    x = [0, 1]
+    if not _poly_eq(_ppowmod(x, p**k, f, p), x):
+        return False
+    for ell in prime_factors(k):
+        xe = _ppowmod(x, p ** (k // ell), f, p)
+        diff = [(a - b) % p for a, b in
+                itertools.zip_longest(xe, x, fillvalue=0)]
+        if len(_pgcd(f, diff, p)) != 1:
+            return False
+    return True
+
+
+def _find_irreducible(p, k):
+    """Monic irreducible of degree k with the least low-coefficient
+    encoding sum(c_i p^i)."""
+    if k == 1:
+        return [0, 1]
+    for enc in range(p**k):
+        f = [(enc // p**i) % p for i in range(k)] + [1]
+        if _is_irreducible(f, p, k):
+            return f
+    raise ValueError("no irreducible polynomial found")
+
+
+def polynomial_field(p, k):
+    """The attributes gkod.oracle.Field builds from tables, computed by
+    polynomial arithmetic: poly, generator (the least element whose
+    ((q-1)/l)-th power is not 1 for any prime l | q - 1), _exp and _log
+    over it, the add table digit by digit, mul through exp/log, and neg
+    as the zero of each add row."""
+    q = p**k
+    poly = tuple(_find_irreducible(p, k))
+
+    def encode(coeffs):
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+    def decode(a):
+        return [(a // p**i) % p for i in range(k)]
+
+    fac = prime_factors(q - 1)
+    gen = next(c for c in range(1, q)
+               if all(not _poly_eq(_ppowmod(_ptrim(decode(c)), (q - 1) // ell,
+                                            poly, p), [1])
+                      for ell in fac))
+    exp = np.zeros(q - 1, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    cur, gp = [1], _ptrim(decode(gen))
+    for i in range(q - 1):
+        e = encode(cur)
+        exp[i] = e
+        log[e] = i
+        cur = _pmulmod(cur, gp, poly, p)
+
+    idx = np.arange(q)
+    add = np.zeros((q, q), dtype=np.uint16)
+    for i in range(k):
+        di = (idx // p**i) % p
+        add += (((di[:, None] + di[None, :]) % p) * p**i).astype(np.uint16)
+    mul = np.zeros((q, q), dtype=np.uint16)
+    la = log[1:q]
+    mul[1:, 1:] = exp[(la[:, None] + la[None, :]) % (q - 1)]
+    neg = np.argmax(add == 0, axis=1).astype(np.uint16)
+    return SimpleNamespace(poly=poly, generator=gen, _exp=exp, _log=log,
+                           add_table=add, mul_table=mul, neg_table=neg)
+
+
+# ---------------------------------------------------------------------------
+# scalar matrices (tuples of tuples of element codes)
+
+def identity_matrix(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def mat_mul(F, A, B):
+    n = len(A)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s = F.add(s, F.mul(A[i][k], B[k][j]))
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _scalar_of(M):
+    """lam if M = lam*I else None."""
+    n = len(M)
+    lam = M[0][0]
+    for i in range(n):
+        for j in range(n):
+            if M[i][j] != (lam if i == j else 0):
+                return None
+    return lam
+
+
+def element_order_mod_center(F, M, center_scalars) -> int:
+    """Naive order of M modulo the scalars: iterate M, M^2, ... until a
+    scalar from the given set appears."""
+    scal = set(center_scalars)
+    P = M
+    k = 1
+    while True:
+        lam = _scalar_of(P)
+        if lam is not None and lam in scal:
+            return k
+        P = mat_mul(F, P, M)
+        k += 1
 
 
 def exhaustive_orders_mod_center(group):
     """Order modulo the scalars of every element, scanned element by
-    element: for each the least k with M^k scalar.  Returns the set of
-    orders."""
+    element with scalar products.  Returns the set of orders."""
     F, n = group.field, group.dim
-    bits = _bits_for(F)
-    center_keys = np.sort(np.concatenate([
-        _pack(np.array([[[lam if i == j else 0 for j in range(n)]
-                         for i in range(n)]], dtype=np.uint16), bits)
-        for lam in group.center_scalars]))
-    orders = set()
-    M = _unpack(group.elements, n, bits)
-    P = M.copy()
-    k = 1
-    while P.shape[0]:
-        done = _member_mask(center_keys, _pack(P, bits))
-        if done.any():
-            orders.add(k)
-            P, M = P[~done], M[~done]
-        P = _batch_mul(F, P, M)
-        k += 1
-    return orders
+    return {element_order_mod_center(F, M, group.center_scalars)
+            for M in _unpack(group.elements, n, _bits_for(F)).tolist()}
 
 
 def scalar_closure_keys(F, dim, gens):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,28 @@ def test_iroot_is_the_floor_root():
 
 def test_prime_power_matches_trial_division():
     for q in range(-1, 20000):
+        assert prime_power(q) == prime_power_trial(q), q
+
+
+@pytest.mark.parametrize("q", [97 * 101**2000, 41 * 43**1000])
+def test_prime_power_rejects_huge_composite_quickly(q):
+    """A small factor of a q above 64 bits is found by trial division,
+    before any root search or primality round on q."""
+    t0 = time.perf_counter()
+    assert prime_power(q) is None
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_prime_power_matches_trial_division_above_64_bits():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        r = next_prime_after(rng.randrange(41, 99_990))
+        q = rng.choice([
+            rng.getrandbits(rng.randint(65, 400)),
+            r ** rng.randint(5, 40),
+            r ** rng.randint(5, 40) * next_prime_after(rng.randrange(41, 99_990)),
+            next_prime_after(rng.getrandbits(rng.randint(65, 100))),
+        ])
         assert prime_power(q) == prime_power_trial(q), q
 
 

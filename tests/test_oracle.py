@@ -7,15 +7,21 @@ import pytest
 import numpy as np
 from oracle_ref import (
     element_order_by_exponent,
+    element_order_mod_center,
     exhaustive_orders_mod_center,
+    identity_matrix,
+    mat_mul,
     matrix_power,
+    polynomial_field,
     scalar_closure_keys,
 )
 
+from gkod.arith import primes_upto
 from gkod.oracle import (
     DEFAULT_SEED,
     FormViolationError,
     HEAVY_TARGETS,
+    MAX_CLOSURE,
     ORACLE_TARGETS,
     MatrixGroup,
     _bits_for,
@@ -25,10 +31,7 @@ from gkod.oracle import (
     alternating_spectrum_bruteforce,
     closure,
     conjugacy_classes,
-    element_order_mod_center,
-    identity_matrix,
     make_field,
-    mat_mul,
     run_target,
     sl2_group,
     spectrum_mod_center,
@@ -50,13 +53,16 @@ from gkod.spectra import (
 def test_f4_polynomial():
     F = make_field(2, 2)
     assert F.poly == (1, 1, 1)  # x^2 + x + 1, the unique choice
-    assert F.poly_str() == "x^2 + x + 1"
 
 
 def test_f27_generator_order():
     F = make_field(3, 3)
-    assert F.multiplicative_order(F.generator) == 26
-    orders = {F.multiplicative_order(a) for a in range(1, 27)}
+
+    def order(a):
+        return min(e for e in range(1, 27) if F.pow(a, e) == 1)
+
+    assert order(F.generator) == 26
+    orders = {order(a) for a in range(1, 27)}
     assert max(orders) == 26 and all(26 % o == 0 for o in orders)
 
 
@@ -68,12 +74,12 @@ def test_field_axioms(p, k):
         assert F.pow(a, q - 1) == 1
         assert F.mul(a, F.inv(a)) == 1
         assert F.add(a, F.neg(a)) == 0
-    # frobenius is additive and multiplicative
+    # the Frobenius map a -> a^p is additive and multiplicative
     rng = random.Random(1)
     for _ in range(50):
         a, b = rng.randrange(q), rng.randrange(q)
-        assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
-        assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+        assert F.pow(F.mul(a, b), p) == F.mul(F.pow(a, p), F.pow(b, p))
+        assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
 
 
 def test_field_bounds():
@@ -83,15 +89,20 @@ def test_field_bounds():
         make_field(2, 7)
     with pytest.raises(ValueError):
         make_field(251, 3)
+    with pytest.raises(ValueError):
+        make_field(37, 2)  # q = 1369 > TABLE_LIMIT
 
 
-def test_large_tableless_field_scalar_ops():
-    F = make_field(37, 2)  # q = 1369 > table limit, scalar path only
-    assert F.add_table is None
-    for a in (1, 36, 37, 1000, 1368):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.pow(a, F.q - 1) == 1
-        assert F.add(a, F.neg(a)) == 0
+def test_field_tables_match_polynomial_construction():
+    pairs = [(p, k) for p in primes_upto(256) for k in range(1, 7)
+             if p**k <= 256]
+    for p, k in pairs + [(31, 2), (3, 6)]:
+        F, R = make_field(p, k), polynomial_field(p, k)
+        assert (F.poly, F.generator) == (R.poly, R.generator), (p, k)
+        for name in ("_exp", "_log", "add_table", "mul_table", "neg_table"):
+            got, want = getattr(F, name), getattr(R, name)
+            assert got.dtype == want.dtype, (p, k, name)
+            assert np.array_equal(got, want), (p, k, name)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +163,11 @@ def test_closure_overshoot_is_form_violation():
     bad = ((2, 0), (0, 1))
     with pytest.raises(FormViolationError):
         closure(transvections + [bad], 120, F, 2)
+
+
+def test_closure_target_above_max_closure():
+    with pytest.raises(ValueError):
+        closure([], MAX_CLOSURE + 1, make_field(5, 1), 2)
 
 
 def test_closure_undershoot_without_sampler():
