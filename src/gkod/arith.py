@@ -10,7 +10,7 @@ this convention.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from math import gcd, log2, prod
 
 DEFAULT_PRIME_BOUND = 37
 MAX_PRIME_BOUND = 10_000
@@ -242,9 +242,25 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Factorization:
     return Factorization(tuple(pairs), n)
 
 
+@lru_cache(maxsize=64)
+def _primorial(bound: int) -> int:
+    return prod(primes_upto(bound))
+
+
 def is_smooth(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
-    """True iff every prime factor of n is <= prime_bound."""
-    return factorize(n, prime_bound).residual == 1
+    """True iff every prime factor of n is <= prime_bound.
+
+    Divides out d = gcd(n, primorial(prime_bound)) until d is 1; after the
+    first step only the primes of the previous d can remain, so each later
+    gcd is taken against d.  Any bound is accepted.
+    """
+    if n < 1:
+        raise ValueError(f"is_smooth needs n >= 1, got {n}")
+    d = gcd(n, _primorial(prime_bound))
+    while d > 1:
+        n //= d
+        d = gcd(n, d)
+    return n == 1
 
 
 def prime_support(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> tuple:

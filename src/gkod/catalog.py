@@ -25,6 +25,7 @@ from .arith import (
     divisors,
     factorize,
     is_prime,
+    is_smooth,
     next_prime_after,
     parse_factorization,
     prime_power,
@@ -289,15 +290,6 @@ _DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
                "O+": (8, 2), "O-": (8, 2)}
 
 
-def _smooth_int(n: int, plist) -> bool:
-    for p in plist:
-        while n % p == 0:
-            n //= p
-        if n == 1:
-            return True
-    return n == 1
-
-
 def _valid_quiet(g: GroupId) -> bool:
     try:
         validate_group(g)
@@ -340,14 +332,14 @@ def enumerate_S_p(p: int) -> list:
 
     for name, f in _sporadic_table().items():
         o = f.value()
-        if o % p == 0 and _smooth_int(o, plist):
+        if o % p == 0 and is_smooth(o, p):
             found.add(GroupId("Spor", name=name))
 
     for r in primes_upto(min(p, CHARACTERISTIC_BOUND)):
         for f in _field_exponents(r, plist):
             q = r**f
             # every family's order has a term divisible by q - 1
-            if not _smooth_int(q - 1, plist):
+            if not is_smooth(q - 1, p):
                 continue
             for family in FAMILIES[1:-1]:  # the 16 Lie families
                 dims = count(*_DIMENSIONS[family]) if family in _DIMENSIONS else (None,)
@@ -356,7 +348,7 @@ def enumerate_S_p(p: int) -> list:
                     if not _valid_quiet(g):
                         continue
                     prefix, terms, d = _order_terms(g)
-                    if not all(_smooth_int(t, plist) for t in terms):
+                    if not all(is_smooth(t, p) for t in terms):
                         break  # every larger n repeats a non-smooth divisor
                     if prod(terms, start=prefix) // d % p == 0:
                         found.add(canonicalize(g))

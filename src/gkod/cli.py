@@ -10,8 +10,8 @@ the oracle sampling seed.
 import argparse
 import json
 import os
-import re
 import sys
+from dataclasses import replace
 
 from . import catalog, graph, oracle, spectra, verifier
 from .arith import is_prime
@@ -25,14 +25,14 @@ class DomainError(Exception):
 
 
 def parse_selector(family: str, param: int) -> GroupId:
-    if family in ("A", "Alt"):
-        return GroupId("A", n=param)
-    if re.fullmatch(r"2B2|2G2|2F4|2E6|3D4|G2|F4|E6|E7|E8", family):
-        return GroupId(family, q=param)
-    m = re.fullmatch(r"(O\+|O-|[LUSO])(\d+)", family)
-    if m:
-        return GroupId(m.group(1), n=int(m.group(2)), q=param)
-    raise DomainError(f"unknown family selector {family!r}")
+    """The group named by a family selector (A or Alt, L2, G2, ...) and its
+    degree or field size.  The family is parsed as a label with a stand-in
+    parameter, so any integer param reaches the family's own range check."""
+    try:
+        g = catalog.parse_label("A1" if family in ("A", "Alt") else f"{family}(1)")
+    except ValueError as exc:
+        raise DomainError(f"unknown family selector {family!r}") from exc
+    return replace(g, n=param) if g.family == "A" else replace(g, q=param)
 
 
 def _seed() -> int:

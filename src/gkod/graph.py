@@ -63,9 +63,6 @@ class PrimeGraph:
     def has_edge(self, p: int, q: int) -> bool:
         return tuple(sorted((p, q))) in self._edge_set
 
-    def neighbors(self, v: int) -> tuple:
-        return tuple(sorted(self.adjacency[v]))
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -90,9 +87,6 @@ class DegreePattern:
         if sum(self.degrees) % 2:
             raise ValueError("degree sum must be even (handshake)")
 
-    def as_tuple(self) -> tuple:
-        return self.degrees
-
     def json_dict(self) -> dict:
         return {"degrees": list(self.degrees), "primes": list(self.primes)}
 
@@ -113,9 +107,6 @@ class OrderComponents:
     @property
     def count(self) -> int:
         return len(self.components)
-
-    def orders(self) -> tuple:
-        return tuple(m for _, m in self.components)
 
     def json_dict(self) -> dict:
         return {"components": [
@@ -179,69 +170,37 @@ def components(g: PrimeGraph, order: Factorization) -> OrderComponents:
         (comp, order.restrict(comp)) for comp in _connected_components(g)))
 
 
-def _max_independent_size(masks: list, cand: int) -> int:
-    """Exact maximum independent set size within the candidate vertex mask.
+def _first_max_independent(g: PrimeGraph, masks: list, chosen: int, cand: int):
+    """(t, witness): the lexicographically least maximum independent set
+    extending the chosen vertex mask by open vertices from cand.
 
-    Branch on a candidate vertex of maximal remaining degree: taking it
-    removes its closed neighborhood, skipping it removes just the vertex.
-    Graphs here have at most ~15 vertices, so exactness is cheap.
+    Depth-first over the open vertices in order, including each before
+    skipping it, so sets of equal size are reached in lexicographic order;
+    a branch ends once its chosen and open vertices cannot beat the best
+    size so far, and only a set that beats it is kept.
     """
-    if cand == 0:
-        return 0
-    best_v, best_deg = -1, -1
-    m = cand
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        deg = (masks[v] & cand).bit_count()
-        if deg > best_deg:
-            best_v, best_deg = v, deg
-    if best_deg == 0:
-        return cand.bit_count()  # no edges left: take everything
-    v = best_v
-    take = 1 + _max_independent_size(masks, cand & ~((1 << v) | masks[v]))
-    skip = _max_independent_size(masks, cand & ~(1 << v))
-    return max(take, skip)
+    best_size, best = 0, 0
 
+    def search(chosen, size, cand):
+        nonlocal best_size, best
+        if size + cand.bit_count() <= best_size:
+            return
+        if not cand:
+            best_size, best = size, chosen
+            return
+        v = cand & -cand
+        cand &= ~v
+        search(chosen | v, size + 1, cand & ~masks[v.bit_length() - 1])
+        search(chosen, size, cand)
 
-def _lex_least_witness(g: PrimeGraph, masks: list, t: int, force=None) -> tuple:
-    """Lexicographically least independent t-set (containing force, if
-    given).  Depth-first over the vertices in order, including each before
-    skipping it, so the first set found is the least; a branch ends once the
-    chosen vertices and the open candidates number fewer than t."""
-    must = 0
-    cand = (1 << len(g.vertices)) - 1
-    if force is not None:
-        i = g.vertices.index(force)
-        must = 1 << i
-        cand &= ~masks[i]
-
-    def search(cand, need):
-        # cand holds the open vertices above the last chosen one
-        if need == 0:
-            return None if cand & must else 0
-        while cand.bit_count() >= need:
-            v = cand & -cand
-            cand &= ~v
-            rest = search(cand & ~masks[v.bit_length() - 1], need - 1)
-            if rest is not None:
-                return rest | v
-            if v & must:
-                return None
-        return None
-
-    chosen = search(cand, t)
-    if chosen is None:
-        raise AssertionError("no witness at computed independence number")
-    return tuple(v for i, v in enumerate(g.vertices) if chosen >> i & 1)
+    search(chosen, chosen.bit_count(), cand)
+    return best_size, tuple(v for i, v in enumerate(g.vertices) if best >> i & 1)
 
 
 def independence(g: PrimeGraph):
     """(t, witness): exact independence number with the lexicographically
     least maximum independent set."""
-    masks = _bitmasks(g)
-    t = _max_independent_size(masks, (1 << len(g.vertices)) - 1)
-    return t, _lex_least_witness(g, masks, t)
+    return _first_max_independent(g, _bitmasks(g), 0, (1 << len(g.vertices)) - 1)
 
 
 def _bitmasks(g: PrimeGraph) -> list:
@@ -260,8 +219,7 @@ def independence_at(g: PrimeGraph, r: int):
     masks = _bitmasks(g)
     ir = g.vertices.index(r)
     cand = ((1 << len(g.vertices)) - 1) & ~(1 << ir) & ~masks[ir]
-    t = 1 + _max_independent_size(masks, cand)
-    return t, _lex_least_witness(g, masks, t, force=r)
+    return _first_max_independent(g, masks, 1 << ir, cand)
 
 
 @dataclass(frozen=True)

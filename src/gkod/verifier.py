@@ -3,9 +3,13 @@ uniqueness argument for S4(31), U3(27), G2(11) and U4(31).
 
 For a hypothesized group G with |G| = |S| and D(G) = D(S) the verifier
 enumerates every labeled graph consistent with the degree pattern, splits
-on the configured pivot adjacency, checks the almost-simple reduction
-hypotheses (t >= 3, t(2) >= 2) on every non-forced member, and applies the
-order-divisibility filter over the computed catalog.  Genuine group theory
+on the pivot adjacency, checks the almost-simple reduction hypotheses
+(t >= 3, t(2) >= 2) on every non-forced member, and applies the
+order-divisibility filter over the computed catalog.  Each case is
+configured by the primes pi its solvable radical must avoid; the rest is
+derived: the pivot is the least edge of GK(S) whose presence forces a
+family member to equal GK(S) (none for U4(31)), and the required divisor
+of |P| is the pi-part of |S|.  Genuine group theory
 (solvable radicals, order-component characterizations) is not re-proved;
 each report lists those inputs under assumed_facts.
 """
@@ -157,31 +161,21 @@ def _pattern_compatible(P: GroupId, degree_bound: dict):
 
 
 # ---------------------------------------------------------------------------
-# case configuration (data, not logic)
+# case configuration (data, not logic): the primes pi that the solvable
+# radical must avoid; the pivot and the required divisor are derived
 
-@dataclass(frozen=True)
-class CaseConfig:
-    pivot: tuple | None       # adjacency that forces GK(G) = GK(S), if any
-    pi: tuple                 # primes the solvable radical must avoid
-    m_required: Factorization  # forced divisor of |P|: the pi-part of |S|
-
-
-CASE_TABLE = {
-    "S4(31)": CaseConfig((13, 37), (13, 31, 37),
-                         Factorization(((13, 1), (31, 4), (37, 1)))),
-    "U3(27)": CaseConfig((19, 37), (7, 13, 19, 37),
-                         Factorization(((7, 2), (13, 1), (19, 1), (37, 1)))),
-    "G2(11)": CaseConfig((7, 19), (7, 19, 37),
-                         Factorization(((7, 1), (19, 1), (37, 1)))),
-    "U4(31)": CaseConfig(None, (7, 19, 37),
-                         Factorization(((7, 2), (19, 1), (37, 1)))),
+CASE_PI = {
+    "S4(31)": (13, 31, 37),
+    "U3(27)": (7, 13, 19, 37),
+    "G2(11)": (7, 19, 37),
+    "U4(31)": (7, 19, 37),
 }
 
 VERIFIED = "verified"
 
 
-def _assumed_facts(label: str, cfg: CaseConfig) -> tuple:
-    pi_str = "{" + ", ".join(str(p) for p in cfg.pi) + "}"
+def _assumed_facts(label: str, pi: tuple, pivot) -> tuple:
+    pi_str = "{" + ", ".join(str(p) for p in pi) + "}"
     facts = [
         "almost-simple reduction: a finite group G with t(G) >= 3 and "
         "t(2, G) >= 2 admits a simple P with P <= G/K <= Aut(P), "
@@ -193,7 +187,7 @@ def _assumed_facts(label: str, cfg: CaseConfig) -> tuple:
         "order lifting: element orders of P <= G/K lift to G, so every "
         "adjacency of GK(P) is an adjacency of GK(G)",
     ]
-    if cfg.pivot is not None:
+    if pivot is not None:
         facts.insert(0, f"order-component characterization: a finite group "
                         f"with the order components of {label} is "
                         f"isomorphic to {label}")
@@ -236,34 +230,38 @@ def _catalog_s37():
     return computed, reference, agrees
 
 
-def verify_case(group, pivot=None, m_required=None, pattern=None) -> CaseReport:
+def forcing_pivot(gk: PrimeGraph, family: GraphFamily):
+    """Least edge of gk carried by some member of the family (a family on
+    gk's vertices), where every member carrying it equals gk; None when no
+    edge forces gk."""
+    edge_sets = [h.edges for h in family.graphs]
+    if gk.edges not in edge_sets:
+        return None
+    return next((e for e in gk.edges
+                 if not any(e in es and es != gk.edges for es in edge_sets)),
+                None)
+
+
+def verify_case(group, pivot=None, pattern=None) -> CaseReport:
     """Run the full mechanized case analysis for one of the four groups.
 
-    pivot / m_required default to the case table; pattern may override the
-    computed degree pattern (negative controls in tests use this).
+    pivot defaults to forcing_pivot over the enumerated family; pattern may
+    override the computed degree pattern (negative controls in tests use
+    both).
     """
     g_id = parse_label(group) if isinstance(group, str) else group
     label = g_id.label()
-    if label not in CASE_TABLE:
+    if label not in CASE_PI:
         raise ValueError(f"no case configuration for {label} "
-                         f"(configured: {', '.join(sorted(CASE_TABLE))})")
-    cfg = CASE_TABLE[label]
-    if pivot is None:
-        pivot = cfg.pivot
-    if m_required is None:
-        m_required = cfg.m_required
+                         f"(configured: {', '.join(sorted(CASE_PI))})")
+    pi = CASE_PI[label]
 
     order = order_of(g_id)
     gk = build_gk(order, spectrum_of(g_id))
-    dp = degree_pattern(gk)
-    if m_required != order.restrict(cfg.pi):
-        raise ValueError("configuration mismatch: required divisor is not "
-                         "the pi-part of |S|")
+    m_required = order.restrict(pi)
     if pattern is None:
-        pattern = dp.degrees
+        pattern = degree_pattern(gk).degrees
     pattern = tuple(int(d) for d in pattern)
-
-    verdict = VERIFIED
 
     computed_s37, reference_s37, catalog_agrees = _catalog_s37()
     catalog_check = {
@@ -273,26 +271,21 @@ def verify_case(group, pivot=None, m_required=None, pattern=None) -> CaseReport:
     if not catalog_agrees:
         # surface the discrepancy; do not silently prefer either source
         catalog_check["published"] = [g.label() for g in reference_s37]
-        verdict = "failed(catalog)"
 
     family = enumerate_with_pattern(gk.vertices, pattern)
-    gk_in_family = family.feasible and gk in family.graphs
-    if not gk_in_family and verdict == VERIFIED:
-        verdict = "failed(enumeration)"
+    if pivot is None:
+        pivot = forcing_pivot(gk, family)
 
     forced = None
+    alternatives = list(family.graphs)
     if pivot is not None:
         e = tuple(sorted(pivot))
-        members = [h for h in family.graphs if h.has_edge(*e)]
+        members = [h for h in alternatives if h.has_edge(*e)]
         forced = {
             "count": len(members),
             "all_equal_gk": bool(members) and all(h == gk for h in members),
         }
-        if not forced["all_equal_gk"] and verdict == VERIFIED:
-            verdict = "failed(forced)"
-        alternatives = [h for h in family.graphs if not h.has_edge(*e)]
-    else:
-        alternatives = list(family.graphs)
+        alternatives = [h for h in alternatives if not h.has_edge(*e)]
 
     results = [vasiliev_applicable(h) for h in alternatives]
     all_applicable = all(r.applicable for r in results)
@@ -307,15 +300,12 @@ def verify_case(group, pivot=None, m_required=None, pattern=None) -> CaseReport:
                        "t2": list(worst_t2.t2_witness)}
                       if worst_t else None),
     }
-    if not all_applicable and verdict == VERIFIED:
-        verdict = "failed(vasiliev)"
 
     by_div = candidate_filter(m_required, order, computed_s37)
-    for P in by_div:
-        out_primes_bounded(P)  # declarative scope check for the Out fact
     bound = dict(zip(gk.vertices, pattern))
     unchecked, survivors = [], []
     for P in by_div:
+        out_primes_bounded(P)  # declarative scope check for the Out fact
         compat = _pattern_compatible(P, bound)
         if compat is None:
             unchecked.append(P)
@@ -327,9 +317,17 @@ def verify_case(group, pivot=None, m_required=None, pattern=None) -> CaseReport:
         "survivors": [P.label() for P in survivors],
         "unchecked": [P.label() for P in unchecked],
     }
-    if (len(survivors) != 1 or survivors[0] != g_id or unchecked) \
-            and verdict == VERIFIED:
-        verdict = "failed(filter)"
+
+    # the stages in proof order; the first that fails names the verdict
+    stages = (
+        ("catalog", catalog_agrees),
+        ("enumeration", family.feasible and gk in family.graphs),
+        ("forced", forced is None or forced["all_equal_gk"]),
+        ("vasiliev", all_applicable),
+        ("filter", survivors == [g_id] and not unchecked),
+    )
+    verdict = next((f"failed({name})" for name, ok in stages if not ok),
+                   VERIFIED)
 
     return CaseReport(
         group=label,
@@ -340,5 +338,5 @@ def verify_case(group, pivot=None, m_required=None, pattern=None) -> CaseReport:
         filter=filt,
         catalog_check=catalog_check,
         verdict=verdict,
-        assumed_facts=_assumed_facts(label, cfg),
+        assumed_facts=_assumed_facts(label, pi, pivot),
     )

@@ -24,11 +24,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gkod.arith import is_prime, prime_factors, primes_upto
+from gkod.arith import factorize, is_prime, prime_factors, primes_upto
 from gkod.catalog import (
     GroupId,
     _order_terms,
-    _smooth_int,
     _sporadic_table,
     _valid_quiet,
     canonicalize,
@@ -320,13 +319,13 @@ def maximal_under_divisibility_quadratic(values):
 
 def lex_least_witness_scan(g, t, force=None):
     """First independent t-set of g (containing force, if given) among the
-    vertex combinations in lexicographic order."""
+    vertex combinations in lexicographic order, or None if there is none."""
     for comb in itertools.combinations(g.vertices, t):
         if force is not None and force not in comb:
             continue
         if all(b not in g.adjacency[a] for a, b in itertools.combinations(comb, 2)):
             return comb
-    raise AssertionError("no witness at computed independence number")
+    return None
 
 
 def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=100):
@@ -338,16 +337,16 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
     found = set()
     for n in range(5, max_alt_degree + 1):
         o = factorial(n) // 2
-        if o % p == 0 and _smooth_int(o, plist):
+        if o % p == 0 and factorize(o, p).is_complete:
             found.add(GroupId("A", n=n))
     for name, f in _sporadic_table().items():
         o = f.value()
-        if o % p == 0 and _smooth_int(o, plist):
+        if o % p == 0 and factorize(o, p).is_complete:
             found.add(GroupId("Spor", name=name))
 
     def order_if_smooth(g):
         prefix, terms, d = _order_terms(g)
-        if not all(_smooth_int(t, plist) for t in terms):
+        if not all(factorize(t, p).is_complete for t in terms):
             return None
         o = prefix
         for t in terms:

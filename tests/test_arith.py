@@ -53,6 +53,10 @@ def test_is_smooth_examples():
     assert is_smooth(25308, 37)
     assert not is_smooth(41, 37)
     assert is_smooth(1, 2)
+    assert is_smooth(2**40 * 10007**3, 10007)  # no cap on the bound
+    assert not is_smooth(2 * 10009, 10007)
+    with pytest.raises(ValueError):
+        is_smooth(0, 37)
 
 
 def test_prime_support_examples():

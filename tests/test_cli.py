@@ -10,13 +10,23 @@ from hypothesis import strategies as st
 
 from gkod.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "table1.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "table1.txt"
 
 
 def test_table1_matches_golden_bytes(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("family,param", [
+    ("S4", 31), ("U3", 27), ("G2", 11), ("U4", 31)])
+def test_verify_json_matches_golden_bytes(capsys, family, param):
+    assert main(["verify", family, str(param), "--json"]) == 0
+    out = capsys.readouterr().out
+    golden = GOLDEN_DIR / f"verify_{family}_{param}.json"
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_graph_dot_output(capsys):
@@ -143,6 +153,14 @@ def test_bad_argument_is_usage_error(argv, message, capsys):
 def test_unknown_family_selector(capsys):
     assert main(["spectrum", "X4", "31"]) == 1
     assert "unknown family" in capsys.readouterr().err
+    assert main(["graph", "L7x", "5"]) == 1
+    assert capsys.readouterr().err == "gk: unknown family selector 'L7x'\n"
+    # a known family with a negative parameter reaches its own range check
+    assert main(["spectrum", "Alt", "-5"]) == 1
+    assert capsys.readouterr().err == (
+        "gk: alternating groups require degree n >= 5\n")
+    assert main(["graph", "L2", "-5"]) == 1
+    assert capsys.readouterr().err == "gk: q = -5 is not a prime power\n"
 
 
 def test_oracle_small_target(capsys):

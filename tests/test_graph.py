@@ -8,8 +8,6 @@ from gkod.arith import Factorization, divisor_closure, parse_factorization
 from gkod.catalog import order_of, parse_label, s37_reference
 from gkod.graph import (
     CauchyConsistencyError,
-    _bitmasks,
-    _lex_least_witness,
     DegreePattern,
     PrimeGraph,
     build_gk,
@@ -130,14 +128,13 @@ def test_independence_examples():
 
 
 def _witness_parity(g):
-    masks = _bitmasks(g)
     t, w = independence(g)
     assert w == lex_least_witness_scan(g, t)
-    for s in range(1, t):
-        assert _lex_least_witness(g, masks, s) == lex_least_witness_scan(g, s)
+    assert lex_least_witness_scan(g, t + 1) is None
     for r in g.vertices:
         tr, wr = independence_at(g, r)
         assert wr == lex_least_witness_scan(g, tr, force=r)
+        assert lex_least_witness_scan(g, tr + 1, force=r) is None
 
 
 def test_witness_matches_combination_scan_on_paper_graphs():

@@ -8,10 +8,10 @@ from gkod.catalog import ScopeError, enumerate_S_p, order_of, parse_label
 from gkod.graph import PrimeGraph, build_gk, degree_pattern
 from gkod.spectra import spectrum_of
 from gkod.verifier import (
-    CASE_TABLE,
     VERIFIED,
     candidate_filter,
     enumerate_with_pattern,
+    forcing_pivot,
     vasiliev_applicable,
     verify_case,
 )
@@ -215,10 +215,32 @@ def test_verify_case_unknown_group():
         verify_case("L2(37)")
 
 
-def test_case_table_divisors_are_pi_parts():
-    for label, cfg in CASE_TABLE.items():
-        order = order_of(parse_label(label))
-        assert cfg.m_required == order.restrict(cfg.pi)
+@pytest.mark.parametrize("label,pivot", [
+    ("S4(31)", (13, 37)),
+    ("U3(27)", (19, 37)),
+    ("G2(11)", (7, 19)),
+    ("U4(31)", None),
+])
+def test_derived_pivots(label, pivot):
+    gk = gk_of(label)
+    family = enumerate_with_pattern(gk.vertices, degree_pattern(gk).degrees)
+    assert forcing_pivot(gk, family) == pivot
+    assert verify_case(label).pivot == pivot
+
+
+def test_forcing_pivot_needs_gk_in_family():
+    gk = gk_of("U3(27)")
+    without = enumerate_with_pattern(gk.vertices, (3, 3, 3, 3, 2, 2))
+    assert len(without) > 0
+    assert gk not in without.graphs
+    assert forcing_pivot(gk, without) is None
+
+
+def test_verify_case_non_forcing_pivot_fails_forced():
+    # 2 ~ 3 is an edge of GK(S4(31)), but 11 family members carry it
+    rep = verify_case("S4(31)", pivot=(2, 3))
+    assert rep.verdict == "failed(forced)"
+    assert rep.forced == {"count": 11, "all_equal_gk": False}
 
 
 def test_report_json_schema_and_determinism():
