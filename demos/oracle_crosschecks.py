@@ -4,8 +4,8 @@
 # conjugacy class is powered to a scalar; alternating groups are scanned
 # permutation by permutation.
 #
-# The heavy pair (SP4_5, SL2_37) is skipped here; run them through the CLI
-# with `gk oracle SP4_5 --heavy` when you have ~0.35 GB and ~15 seconds.
+# The heavy SP4_5 is skipped here; run it through the CLI with
+# `gk oracle SP4_5 --heavy` when you have ~0.35 GB and ~15 seconds.
 #
 # Run:  python demos/oracle_crosschecks.py
 

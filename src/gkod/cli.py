@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle", help="brute-force spectrum cross-check")
     op.add_argument("target", help=f"one of: {', '.join(oracle.ORACLE_TARGETS)}")
     op.add_argument("--heavy", action="store_true",
-                    help="allow the large closures (SP4_5, SL2_37)")
+                    help="allow the large closure (SP4_5)")
     return ap
 
 

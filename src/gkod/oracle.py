@@ -16,10 +16,14 @@ Memory peaks near 35 bytes per group element, in the class labelling:
 the largest registered targets, SU_4(3) (1.31e7 elements) and Sp_4(5)
 (9.36e6), stay under ~0.45 GB.
 
-Generators are obtained by seeded rejection sampling of form-preserving
-matrices rather than from transcribed literature generators; the closure
-size certificate makes the construction self-checking, and an undershoot
-(a proper subgroup) deterministically resamples an extra generator.
+Every matrix group here is the det-1 isometry group of a (Gram, sigma)
+form B(u, v) = u^T gram sigma(v), sigma(x) = x^e: SL_n has no form, SU_n
+the identity Gram with e = q, Sp_4 the alternating Omega with e = 1.
+Generators are obtained by seeded rejection sampling of such isometries
+(random_isometry) rather than from transcribed literature generators;
+the closure size certificate makes the construction self-checking, and
+an undershoot (a proper subgroup) deterministically resamples an extra
+generator.
 """
 
 import itertools
@@ -49,7 +53,8 @@ _CHUNK = 1 << 20
 
 
 class FormViolationError(RuntimeError):
-    """Closure grew past the target order: some generator broke the form."""
+    """A matrix left its defining form: a sampled generator failed
+    is_isometry, or the closure grew past the target order."""
 
 
 class ClosureError(RuntimeError):
@@ -136,12 +141,6 @@ class Field:
             return 0 if e else 1
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
-    def conj(self, a):
-        """x -> x^(p^(k/2)), the involution of the quadratic subextension."""
-        if self.k % 2:
-            raise ValueError("conj needs an even-degree extension")
-        return self.pow(a, self.p ** (self.k // 2))
-
 
 @lru_cache(maxsize=32)
 def make_field(p: int, k: int) -> Field:
@@ -163,39 +162,6 @@ def mat_det(F, A):
         term = F.mul(A[0][j], mat_det(F, minor))
         det = F.add(det, F.neg(term) if j % 2 else term)
     return det
-
-
-# ---------------------------------------------------------------------------
-# form checks and form-preserving samplers
-
-def is_special_unitary(F, M):
-    """M* M = I for the identity Gram form, conj entrywise, and det 1."""
-    n = len(M)
-    for i in range(n):
-        for j in range(n):
-            s = 0
-            for k in range(n):
-                s = F.add(s, F.mul(F.conj(M[k][i]), M[k][j]))
-            if s != (1 if i == j else 0):
-                return False
-    return mat_det(F, M) == 1
-
-def _symp_pair(F, u, v):
-    """u^T J v for J = [[0, I], [-I, 0]] in dimension 4."""
-    jv = (v[2], v[3], F.neg(v[0]), F.neg(v[1]))
-    s = 0
-    for a, b in zip(u, jv):
-        s = F.add(s, F.mul(a, b))
-    return s
-
-def is_symplectic4(F, M):
-    cols = [tuple(M[i][j] for i in range(4)) for j in range(4)]
-    want = {(0, 2): 1, (1, 3): 1, (2, 0): F.neg(1), (3, 1): F.neg(1)}
-    for i in range(4):
-        for j in range(4):
-            if _symp_pair(F, cols[i], cols[j]) != want.get((i, j), 0):
-                return False
-    return mat_det(F, M) == 1
 
 
 def _nullspace(F, rows, n):
@@ -225,100 +191,75 @@ def _nullspace(F, rows, n):
     return basis
 
 
-def random_special_linear(F, n, rng):
-    """Uniform-ish det-1 matrix: sample invertible, rescale one row."""
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# isometries of a (Gram, sigma) form
+
+def _form(F, gram, e, u, v):
+    """B(u, v) = u^T gram sigma(v), where sigma(x) = x^e entrywise."""
+    s = 0
+    for a, row in zip(u, gram):
+        for g, b in zip(row, v):
+            if a and g and b:
+                s = F.add(s, F.mul(F.mul(a, g), F.pow(b, e)))
+    return s
+
+
+def is_isometry(F, M, gram, e):
+    """det M = 1 and B(c_i, c_j) = gram[i][j] for every pair of columns;
+    with gram None, det M = 1 alone (SL_n)."""
+    cols = tuple(zip(*M))
+    return mat_det(F, M) == 1 and (gram is None or all(
+        _form(F, gram, e, u, v) == gram[i][j]
+        for i, u in enumerate(cols) for j, v in enumerate(cols)))
+
+
+def random_isometry(F, n, rng, gram=None, e=1):
+    """Random det-1 matrix whose columns c keep the form's Gram entries,
+    B(c_i, c_j) = gram[i][j]; with gram None, a random element of SL_n.
+
+    Column j solves B(c_i, v) = gram[i][j] over the earlier columns i, a
+    system that is linear in v once sigma is applied to it (sigma^2 = 1):
+    v = w / w_n for a random kernel vector w of [rows | -rhs].  A nonzero
+    gram[j][j] (the hermitian case, zero off the diagonal) fixes B(v, v),
+    reached by scaling v by a norm root.  The determinant, of norm 1, is
+    then divided out of the last row.  A draw that fails starts over.
+    """
+    unit = _identity(n)
     while True:
-        A = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
-        A = tuple(tuple(r) for r in A)
-        d = mat_det(F, A)
-        if d:
-            di = F.inv(d)
-            return tuple(tuple(F.mul(x, di) for x in row) if i == n - 1 else row
-                         for i, row in enumerate(A))
-
-
-def random_special_unitary(F, n, rng):
-    """Random element of SU_n over F_{q0^2} (F.k even, q0 = p^(k/2)) for
-    the identity Gram form: build an orthonormal basis column by column,
-    then rescale a column by det^-1 (a norm-1 scalar, so the form holds)."""
-    q0 = F.p ** (F.k // 2)
-
-    def herm(u, v):
-        s = 0
-        for a, b in zip(u, v):
-            s = F.add(s, F.mul(a, F.conj(b)))
-        return s
-
-    cols = []
-    while len(cols) < n:
-        rows = [[F.conj(c) for c in col] for col in cols]
-        basis = _nullspace(F, rows, n) if rows else \
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(256):
-            v = [0] * n
-            for b in basis:
+        cols = []
+        for j in range(n):
+            rows = [] if gram is None else [
+                [F.pow(_form(F, gram, e, c, u), e) for u in unit]
+                + [F.neg(F.pow(gram[i][j], e))] for i, c in enumerate(cols)]
+            w = [0] * (n + 1)
+            for b in _nullspace(F, rows, n + 1):
                 cf = rng.randrange(F.q)
-                if cf:
-                    for i in range(n):
-                        v[i] = F.add(v[i], F.mul(cf, b[i]))
-            nv = herm(v, v)
-            if nv:
+                w = [F.add(x, F.mul(cf, y)) for x, y in zip(w, b)]
+            if not w[n]:
                 break
-        else:
-            raise ClosureError("no anisotropic vector found")
-        # nv lies in the subfield, so its log is divisible by q0 + 1 and
-        # alpha = g^(log(nv^-1)/(q0+1)) has norm nv^-1
-        lv = -int(F._log[nv]) % (F.q - 1)
-        alpha = F.pow(F.generator, lv // (q0 + 1))
-        cols.append([F.mul(alpha, x) for x in v])
-    M = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    di = F.inv(mat_det(F, M))
-    M = tuple(tuple(F.mul(row[0], di) if j == 0 else row[j] for j in range(n))
-              for row in M)
-    if not is_special_unitary(F, M):
-        raise AssertionError("unitary sampler produced a non-unitary matrix")
-    return M
-
-
-def random_symplectic4(F, rng):
-    """Random element of Sp_4(q): complete a random hyperbolic basis."""
-    n = 4
-
-    def rand_in(basis):
-        while True:
-            v = [0] * n
-            for b in basis:
-                cf = rng.randrange(F.q)
-                if cf:
-                    for i in range(n):
-                        v[i] = F.add(v[i], F.mul(cf, b[i]))
-            if any(v):
-                return v
-
-    full = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    e1 = rand_in(full)
-    while True:
-        w = rand_in(full)
-        c = _symp_pair(F, e1, w)
-        if c:
+            wi = F.inv(w[n])
+            v = [F.mul(x, wi) for x in w[:n]]
+            if gram is not None and gram[j][j]:
+                nv = _form(F, gram, e, v, v)
+                if not nv:
+                    break
+                # gram[j][j] / nv is fixed by sigma, so its log is a
+                # multiple of e + 1 and the root is a power of the generator
+                lt = int(F._log[gram[j][j]]) - int(F._log[nv])
+                alpha = F.pow(F.generator, lt % (F.q - 1) // (e + 1))
+                v = [F.mul(alpha, x) for x in v]
+            cols.append(v)
+        M = tuple(zip(*cols))
+        if len(cols) == n and (d := mat_det(F, M)):
             break
-    ci = F.inv(c)
-    f1 = [F.mul(ci, x) for x in w]
-
-    def form_row(u):  # functional x -> <u, x>
-        return [F.neg(u[2]), F.neg(u[3]), u[0], u[1]]
-
-    perp = _nullspace(F, [form_row(e1), form_row(f1)], n)
-    e2 = rand_in(perp)
-    while True:
-        w2 = rand_in(perp)
-        c2 = _symp_pair(F, e2, w2)
-        if c2:
-            break
-    f2 = [F.mul(F.inv(c2), x) for x in w2]
-    M = tuple(tuple(col[i] for col in (e1, e2, f1, f2)) for i in range(n))
-    if not is_symplectic4(F, M):
-        raise AssertionError("symplectic sampler produced a non-symplectic matrix")
+    di = F.inv(d)
+    M = M[:-1] + (tuple(F.mul(x, di) for x in M[-1]),)
+    if not is_isometry(F, M, gram, e):
+        raise FormViolationError("a sampled matrix is no isometry of its form")
     return M
 
 
@@ -611,36 +552,37 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # named targets
 
-def _sampled_closure(F, dim, sampler, target, seed):
-    """Closure of two generators drawn by sampler(rng) from a seeded rng,
+def _sampled_closure(F, dim, target, seed, gram=None, e=1):
+    """Closure of two isometries of (gram, sigma) drawn from a seeded rng,
     which also draws any extra generator on an undershoot."""
-    sample = partial(sampler, random.Random(seed))
+    sample = partial(random_isometry, F, dim, random.Random(seed), gram, e)
     return closure([sample(), sample()], target, F, dim, sample)
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SL_2(q) by closure; target order q(q^2-1)."""
     F = make_field(*prime_power(q))
-    return _sampled_closure(F, 2, partial(random_special_linear, F, 2),
-                            q * (q * q - 1), seed)
+    return _sampled_closure(F, 2, q * (q * q - 1), seed)
 
 
 def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """SU_n(q) inside GL_n(q^2); target q^(n(n-1)/2) prod(q^i - (-1)^i)."""
+    """SU_n(q) inside GL_n(q^2), the isometries of the identity Gram form
+    with sigma(x) = x^q; target q^(n(n-1)/2) prod(q^i - (-1)^i)."""
     p, k = prime_power(q)
     F = make_field(p, 2 * k)
     target = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
         target *= q**i - (-1) ** i
-    return _sampled_closure(F, n, partial(random_special_unitary, F, n),
-                            target, seed)
+    return _sampled_closure(F, n, target, seed, _identity(n), q)
 
 
 def sp4_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """Sp_4(q); target order q^4 (q^2-1)(q^4-1)."""
+    """Sp_4(q), the isometries of Omega = [[0, I], [-I, 0]]; target order
+    q^4 (q^2-1)(q^4-1)."""
     F = make_field(*prime_power(q))
-    return _sampled_closure(F, 4, partial(random_symplectic4, F),
-                            q**4 * (q * q - 1) * (q**4 - 1), seed)
+    m = F.neg(1)
+    omega = ((0, 0, 1, 0), (0, 0, 0, 1), (m, 0, 0, 0), (0, m, 0, 0))
+    return _sampled_closure(F, 4, q**4 * (q * q - 1) * (q**4 - 1), seed, omega)
 
 
 @dataclass(frozen=True)
@@ -666,7 +608,7 @@ _MATRIX_TARGETS = {
     "SP4_5": (partial(sp4_group, 5), partial(mu_S4, 5)),
 }
 
-HEAVY_TARGETS = frozenset({"SL2_37", "SP4_5"})
+HEAVY_TARGETS = frozenset({"SP4_5"})
 
 ORACLE_TARGETS = tuple(sorted(_MATRIX_TARGETS)) + tuple(
     f"A{n}" for n in range(5, 11))

@@ -5,7 +5,7 @@ from gkod import oracle
 
 def pytest_addoption(parser):
     parser.addoption("--heavy", action="store_true", default=False,
-                     help="run the large oracle closures (SP4_5, SL2_37)")
+                     help="run the large oracle closure (SP4_5)")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -7,7 +7,9 @@ conjugacy class and closes groups through row tables; these are the paths
 it replaced, kept to check it: fields built by polynomial arithmetic (a
 Rabin irreducibility test, a primitive-element test on the (q-1)/l-th
 powers), scalar matrix products, an exhaustive per-element order scan on
-them, a scalar breadth-first closure, and order-by-exponent arithmetic.
+them, a scalar breadth-first closure, order-by-exponent arithmetic, and
+the hand-coded unitary and symplectic form checks that the one
+(Gram, sigma) isometry check replaced.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
 over partitions, kept here as partition_orders_alternating.
 
@@ -32,7 +34,7 @@ from gkod.catalog import (
     _valid_quiet,
     canonicalize,
 )
-from gkod.oracle import _bits_for, _pack, _unpack
+from gkod.oracle import _bits_for, _pack, _unpack, mat_det
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,8 @@ def polynomial_field(p, k):
 
 
 # ---------------------------------------------------------------------------
-# scalar matrices (tuples of tuples of element codes)
+# scalar matrices (tuples of tuples of element codes) and the hand-coded
+# form checks that gkod.oracle.is_isometry replaced
 
 def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -189,6 +192,39 @@ def mat_mul(F, A, B):
             row.append(s)
         out.append(tuple(row))
     return tuple(out)
+
+
+def is_special_unitary(F, M):
+    """M* M = I for the identity Gram form, conj entrywise, and det 1."""
+    q0 = F.p ** (F.k // 2)
+    n = len(M)
+    for i in range(n):
+        for j in range(n):
+            s = 0
+            for k in range(n):
+                s = F.add(s, F.mul(F.pow(M[k][i], q0), M[k][j]))
+            if s != (1 if i == j else 0):
+                return False
+    return mat_det(F, M) == 1
+
+
+def _symp_pair(F, u, v):
+    """u^T J v for J = [[0, I], [-I, 0]] in dimension 4."""
+    jv = (v[2], v[3], F.neg(v[0]), F.neg(v[1]))
+    s = 0
+    for a, b in zip(u, jv):
+        s = F.add(s, F.mul(a, b))
+    return s
+
+
+def is_symplectic4(F, M):
+    cols = [tuple(M[i][j] for i in range(4)) for j in range(4)]
+    want = {(0, 2): 1, (1, 3): 1, (2, 0): F.neg(1), (3, 1): F.neg(1)}
+    for i in range(4):
+        for j in range(4):
+            if _symp_pair(F, cols[i], cols[j]) != want.get((i, j), 0):
+                return False
+    return mat_det(F, M) == 1
 
 
 def _scalar_of(M):

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its measured runtime.  Criteria 1-2 must finish in under a second,
 criterion 3 in under a minute, criterion 4 in under ten minutes on the
-standard tier (the two biggest closures join only under --heavy), and
+standard tier (SP4_5, the biggest closure, joins only under --heavy), and
 criterion 5's eight-vertex enumeration in under five minutes.  All
 comparisons are exact."""
 
@@ -104,7 +104,7 @@ def test_criterion_3_s37_enumeration():
 
 def test_criterion_4_formula_vs_oracle_standard(oracle_runner):
     t0 = time.time()
-    for name in ("SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13",
+    for name in ("SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13", "SL2_37",
                  "SU3_3", "SU3_5", "SU4_3"):
         res = oracle_runner(name)
         assert res.match, f"{name}: {res.mu_oracle} vs {res.mu_formula}"
@@ -114,7 +114,7 @@ def test_criterion_4_formula_vs_oracle_standard(oracle_runner):
             alternating_orders_bruteforce(n))), n
     elapsed = time.time() - t0
     assert elapsed < 600.0
-    _report(4, elapsed, "L2(q) q in {4,5,7,9,13}; U3(q) q in {3,5}; U4(3); "
+    _report(4, elapsed, "L2(q) q in {4,5,7,9,13,37}; U3(q) q in {3,5}; U4(3); "
                         "A5..A9 full omega")
 
 
@@ -123,9 +123,7 @@ def test_criterion_4_heavy_tier(oracle_runner):
     t0 = time.time()
     sp4 = oracle_runner("SP4_5")
     assert sp4.match and sp4.enumerated == 9360000
-    sl2 = oracle_runner("SL2_37")
-    assert sl2.match and sl2.enumerated == 50616
-    _report(4, time.time() - t0, "heavy tier: SP4_5 and SL2_37 match")
+    _report(4, time.time() - t0, "heavy tier: SP4_5 matches")
 
 
 def test_criterion_5_mechanized_verification():

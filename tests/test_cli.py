@@ -180,6 +180,12 @@ def test_oracle_heavy_gate(capsys):
     assert "--heavy" in capsys.readouterr().err
 
 
+def test_oracle_sl2_37_needs_no_heavy(capsys):
+    assert main(["oracle", "SL2_37"]) == 0
+    out = capsys.readouterr().out
+    assert "enumerated 50616" in out and "match: True" in out
+
+
 def test_oracle_unknown_target(capsys):
     assert main(["oracle", "SL3_3"]) == 1
     assert "unknown oracle target" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 from math import factorial
 
 import pytest
@@ -10,6 +11,8 @@ from oracle_ref import (
     element_order_mod_center,
     exhaustive_orders_mod_center,
     identity_matrix,
+    is_special_unitary,
+    is_symplectic4,
     mat_mul,
     matrix_power,
     polynomial_field,
@@ -31,9 +34,13 @@ from gkod.oracle import (
     alternating_spectrum_bruteforce,
     closure,
     conjugacy_classes,
+    is_isometry,
     make_field,
+    mat_det,
+    random_isometry,
     run_target,
     sl2_group,
+    sp4_group,
     spectrum_mod_center,
     su_group,
 )
@@ -195,9 +202,8 @@ def test_element_order_paths_agree():
     F = grp.field
     rng = random.Random(7)
     exponent = 720  # |SL2(9)|
-    from gkod.oracle import random_special_linear
     for _ in range(1000):
-        M = random_special_linear(F, 2, rng)
+        M = random_isometry(F, 2, rng)
         naive = element_order_mod_center(F, M, grp.center_scalars)
         fast = element_order_by_exponent(F, M, exponent, grp.center_scalars)
         assert naive == fast
@@ -206,13 +212,67 @@ def test_element_order_paths_agree():
 def test_matrix_power_matches_iteration():
     F = make_field(7, 1)
     rng = random.Random(3)
-    from gkod.oracle import random_special_linear
     for _ in range(20):
-        M = random_special_linear(F, 2, rng)
+        M = random_isometry(F, 2, rng)
         P = identity_matrix(2)
         for e in range(1, 10):
             P = mat_mul(F, P, M)
             assert matrix_power(F, M, e) == P
+
+
+def _form_case(kind, p, k, n):
+    """Field, Gram matrix, sigma exponent and hand-coded reference check."""
+    F = make_field(p, k)
+    if kind == "SL":
+        return F, None, 1, lambda M: mat_det(F, M) == 1
+    if kind == "SU":
+        return F, identity_matrix(n), p ** (k // 2), partial(is_special_unitary, F)
+    m = F.neg(1)
+    omega = ((0, 0, 1, 0), (0, 0, 0, 1), (m, 0, 0, 0), (0, m, 0, 0))
+    return F, omega, 1, partial(is_symplectic4, F)
+
+
+@pytest.mark.parametrize("kind,p,k,n", [
+    ("SL", 2, 2, 2), ("SL", 5, 1, 2), ("SL", 3, 2, 2),
+    ("SU", 3, 2, 3), ("SU", 5, 2, 3), ("SU", 3, 2, 4),
+    ("SP", 3, 1, 4), ("SP", 5, 1, 4), ("SP", 7, 1, 4)])
+def test_isometry_matches_hand_coded_checks(kind, p, k, n):
+    F, gram, e, ref = _form_case(kind, p, k, n)
+    rng = random.Random(p**k * n)
+    for _ in range(200):
+        M = random_isometry(F, n, rng, gram, e)
+        assert is_isometry(F, M, gram, e) and ref(M), M
+    # diag(g, 1, ...) for SL breaks det 1; diag(g, g^-1, 1, ...) keeps it
+    # but moves B(c_0, c_0) (unitary) or B(c_0, c_2) (symplectic) off gram
+    g = F.generator
+    bad = [list(row) for row in identity_matrix(n)]
+    bad[0][0] = g
+    if gram is not None:
+        bad[1][1] = F.inv(g)
+    bad = tuple(map(tuple, bad))
+    assert not is_isometry(F, bad, gram, e) and not ref(bad)
+
+
+def test_sampled_non_isometry_is_form_violation(monkeypatch):
+    monkeypatch.setattr("gkod.oracle.is_isometry", lambda *args: False)
+    with pytest.raises(FormViolationError):
+        sl2_group(5)
+
+
+def test_sp4_3_is_u4_2():
+    """PSp4(3) = U4(2) (ATLAS): |Sp4(3)| = 51,840, centre +-1, and mu
+    {5, 9, 12}."""
+    grp = sp4_group(3)
+    assert grp.order == 51840 and grp.center_scalars == (1, 2)
+    assert spectrum_mod_center(grp).mu == (5, 9, 12)
+
+
+@pytest.mark.parametrize("build", [partial(sp4_group, 3), partial(su_group, 3, 3)],
+                         ids=["SP4_3", "SU3_3"])
+def test_elements_independent_of_seed(build):
+    want = build(seed=DEFAULT_SEED).elements
+    for seed in (1, 2):
+        assert np.array_equal(build(seed=seed).elements, want), seed
 
 
 _SMALL_GROUPS = {
@@ -312,7 +372,7 @@ def test_alternating_range_check():
 # registry and heavy tier
 
 def test_target_registry():
-    assert set(HEAVY_TARGETS) == {"SL2_37", "SP4_5"}
+    assert set(HEAVY_TARGETS) == {"SP4_5"}
     assert "SU4_3" in ORACLE_TARGETS and "A7" in ORACLE_TARGETS
     with pytest.raises(ValueError):
         run_target("SL3_3")
@@ -326,8 +386,7 @@ def test_heavy_sp4_5(oracle_runner):
     assert res.mu_formula == mu_S4(5)
 
 
-@pytest.mark.heavy
-def test_heavy_sl2_37(oracle_runner):
+def test_sl2_37(oracle_runner):
     res = oracle_runner("SL2_37")
     assert res.enumerated == 37 * (37 * 37 - 1) == 50616
     assert res.match and res.mu_oracle.mu == (18, 19, 37)
