@@ -197,13 +197,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    name = args.target
-    if name in oracle.HEAVY_TARGETS and not args.heavy:
-        raise DomainError(
-            f"{name} is a heavy target (closure up to 9.4e6 elements, "
-            "~0.35 GB peak); pass --heavy to run it")
     try:
-        res = oracle.run_target(name, seed=_seed())
+        res = oracle.run_target(args.target, seed=_seed())
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     print(f"{res.target}: enumerated {res.enumerated}")
@@ -248,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("oracle", help="brute-force spectrum cross-check")
     op.add_argument("target", help=f"one of: {', '.join(oracle.ORACLE_TARGETS)}")
-    op.add_argument("--heavy", action="store_true",
-                    help="allow the large closure (SP4_5)")
     return ap
 
 

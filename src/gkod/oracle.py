@@ -9,12 +9,16 @@ even-permutation enumeration for small alternating groups.
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
 bitlen(q-1) <= 64), which covers every target this module registers.
-Products with a generator are row-table lookups on the keys.  Element
-orders are class functions, so the scan labels conjugacy classes and
-powers one representative of each, all together, until it is central.
-Memory peaks near 35 bytes per group element, in the class labelling:
-the largest registered targets, SU_4(3) (1.31e7 elements) and Sp_4(5)
-(9.36e6), stay under ~0.45 GB.
+Products with a generator are row-table lookups on the keys.  A group G
+is enumerated modulo its centre Z, the scalars of its form: each coset
+of Z is one key, the least of lam*x over Z, so the arrays hold |G|/|Z|
+keys.  Element orders modulo Z are class functions, so the scan labels
+the conjugacy classes of G/Z and powers one representative of each, all
+together, until it is central.  Memory peaks near 40 bytes per coset, in
+the class labelling: the largest registered targets, SU_4(3) (3.27e6
+cosets of 1.31e7 elements) and Sp_4(5) (4.68e6 of 9.36e6), peak near
+0.16 and 0.19 GB.  The permutation scan follows the points of a block of
+even permutations together, one gather per step.
 
 Every matrix group here is the det-1 isometry group of a (Gram, sigma)
 form B(u, v) = u^T gram sigma(v), sigma(x) = x^e: SL_n has no form, SU_n
@@ -26,7 +30,6 @@ an undershoot (a proper subgroup) deterministically resamples an extra
 generator.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -50,6 +53,7 @@ TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
 MAX_CLOSURE = 1 << 24     # covers SU_4(3), 13,063,680 elements
 MAX_RETRIES = 6
 _CHUNK = 1 << 20
+_PERM_CHUNK = 1 << 13     # rows per permutation pass; more leave the cache
 
 
 class FormViolationError(RuntimeError):
@@ -191,8 +195,9 @@ def _nullspace(F, rows, n):
     return basis
 
 
-def _identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _scalar_matrix(n, lam=1):
+    """lam * I_n; the identity by default."""
+    return tuple(tuple(lam * (i == j) for j in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,7 @@ def random_isometry(F, n, rng, gram=None, e=1):
     reached by scaling v by a norm root.  The determinant, of norm 1, is
     then divided out of the last row.  A draw that fails starts over.
     """
-    unit = _identity(n)
+    unit = _scalar_matrix(n)
     while True:
         cols = []
         for j in range(n):
@@ -364,10 +369,34 @@ def _inverse_transpose(F, M):
     return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
 
 
+def form_center(F, n, gram=None, e=1):
+    """The scalars lam for which lam*I is an isometry of the (gram, sigma)
+    form, ascending: the centre Z of its det-1 isometry group."""
+    return tuple(lam for lam in range(1, F.q)
+                 if is_isometry(F, _scalar_matrix(n, lam), gram, e))
+
+
+def _center_tables(F, n, bits, center):
+    """One row table per lam in center, multiplying by lam*I; None for 1."""
+    return [None if lam == 1 else _row_table(F, n, bits, _scalar_matrix(n, lam))
+            for lam in center]
+
+def _least_coset_key(tables, keys, n, bits):
+    """Least key among lam*x over the scalars behind tables, for every key
+    x: the canonical key of the coset xZ."""
+    least = None
+    for t in tables:
+        k = keys if t is None else _apply(t, keys, n, bits)
+        least = k if least is None else np.minimum(least, k)
+    return least
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """Fully enumerated matrix group: field, dimension, the generators that
-    produced it, sorted packed element keys, and the scalars it contains."""
+    """Fully enumerated matrix group G modulo its scalar subgroup Z: field,
+    dimension, the generators that produced it, the sorted canonical keys
+    of the cosets of Z (the least key in each coset), and the scalars of Z.
+    """
 
     field: Field
     dim: int
@@ -377,23 +406,31 @@ class MatrixGroup:
 
     @property
     def order(self) -> int:
-        return int(self.elements.size)
+        """|G|, every coset counted with its |Z| elements."""
+        return int(self.elements.size) * len(self.center_scalars)
 
     def contains(self, M) -> bool:
-        arr = np.array([M], dtype=np.uint16)
-        key = _pack(arr, _bits_for(self.field))
+        bits = _bits_for(self.field)
+        key = _pack(np.array([M], dtype=np.uint16), bits)
+        key = _least_coset_key(_center_tables(self.field, self.dim, bits,
+                                              self.center_scalars),
+                               key, self.dim, bits)
         return bool(_member_mask(self.elements, key)[0])
 
 
-def _close_once(F, dim, gens, target):
+def _close_once(F, dim, gens, target, center):
+    """Sorted canonical keys of the cosets of the scalars center reached
+    from the identity, breadth first; more than target raises."""
     bits = _bits_for(F)
     if dim * dim * bits > 64:
         raise ValueError("matrix does not pack into 64 bits")
     tables = [_row_table(F, dim, bits, g) for g in gens]
-    frontier = visited = _scalar_keys(F, dim, [1])
+    scalars = _center_tables(F, dim, bits, center)
+    frontier = visited = _least_coset_key(scalars, _scalar_keys(F, dim, [1]),
+                                          dim, bits)
     while frontier.size:
-        keys = np.sort(np.concatenate([_apply(t, frontier, dim, bits)
-                                       for t in tables]))
+        keys = np.concatenate([_apply(t, frontier, dim, bits) for t in tables])
+        keys = np.sort(_least_coset_key(scalars, keys, dim, bits))
         keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         at = np.searchsorted(visited, keys)
         new = visited[np.minimum(at, visited.size - 1)] != keys
@@ -401,41 +438,47 @@ def _close_once(F, dim, gens, target):
         visited = np.insert(visited, at[new], frontier)
         if visited.size > target:
             raise FormViolationError(
-                f"closure reached {visited.size} > target {target}; a "
-                "generator violates the defining form")
+                f"closure reached {visited.size} > target {target} cosets; "
+                "a generator violates the defining form")
     return visited
 
 
 def closure(generators, target_order: int, field: Field, dim: int,
-            sample=None) -> MatrixGroup:
-    """Breadth-first closure of the generators under multiplication.
+            sample=None, center=(1,)) -> MatrixGroup:
+    """Breadth-first closure of the generators under multiplication,
+    modulo the scalar subgroup Z whose scalars center lists.
 
-    Succeeds exactly when the closure size equals target_order, which may
-    not exceed MAX_CLOSURE.  On an undershoot (the generators span a
-    proper subgroup) the generator sample() returns is added and the
-    closure restarts, up to MAX_RETRIES times; with no sample, an
-    undershoot fails at once.  Growth past the target raises
+    Each coset of Z is one canonical key, its least, so the closure
+    succeeds exactly when it reaches target_order / |Z| cosets;
+    target_order may not exceed MAX_CLOSURE.  Reaching every coset
+    certifies the whole group: in every group this module builds, Z lies
+    in G' as well as in Z(G), hence in the Frattini subgroup (Gaschuetz),
+    whose elements are never needed as generators.  On an undershoot (the
+    generators span a proper subgroup) the generator sample() returns is
+    added and the closure restarts, up to MAX_RETRIES times; with no
+    sample, an undershoot fails at once.  Growth past the target raises
     FormViolationError immediately.
     """
     if target_order > MAX_CLOSURE:
         raise ValueError(f"target order {target_order} above MAX_CLOSURE = {MAX_CLOSURE}")
+    if target_order % len(center):
+        raise ValueError(f"|Z| = {len(center)} does not divide {target_order}")
+    cosets = target_order // len(center)
     gens = list(generators)
     for _ in range(MAX_RETRIES + 1):
-        elements = _close_once(field, dim, gens, target_order)
-        if elements.size == target_order:
-            lams = np.arange(1, field.q)
-            center = lams[_member_mask(elements, _scalar_keys(field, dim, lams))]
-            return MatrixGroup(field, dim, tuple(gens), elements,
-                               tuple(center.tolist()))
+        elements = _close_once(field, dim, gens, cosets, center)
+        if elements.size == cosets:
+            return MatrixGroup(field, dim, tuple(gens), elements, tuple(center))
         if sample is None:
             break
         gens.append(sample())
     raise ClosureError(
-        f"closure stalled at {elements.size} of {target_order} after retries")
+        f"closure stalled at {elements.size} of {cosets} cosets after retries")
 
 
-def _conjugation_map(group, g):
-    """Index into group.elements of g^-1 x g, for every element x."""
+def _conjugation_map(group, g, scalars):
+    """Index into group.elements of the coset of g^-1 x g, for every x;
+    scalars are the group's _center_tables."""
     F, n, el = group.field, group.dim, group.elements
     bits = _bits_for(F)
     # x -> (x g)^T, then y^T -> ((y^T) (g^-1)^T)^T = g^-1 y
@@ -445,6 +488,7 @@ def _conjugation_map(group, g):
     for lo in range(0, el.size, _CHUNK):
         conj = _apply(left, _apply(right, el[lo:lo + _CHUNK], n, bits, True),
                       n, bits, True)
+        conj = _least_coset_key(scalars, conj, n, bits)
         order = np.argsort(conj)  # sorted queries search far faster
         conj = conj[order]
         idx = np.minimum(np.searchsorted(el, conj), el.size - 1)
@@ -457,8 +501,8 @@ def _conjugation_map(group, g):
 
 
 def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
-    """Class label of every element: the index in group.elements of the
-    least key in its conjugacy class.
+    """Class label of every element of G/Z: the index in group.elements
+    of the least key in its conjugacy class.
 
     Conjugation by the generators generates the conjugation action, so
     the classes are the orbits of these maps; min-labels propagate along
@@ -466,8 +510,10 @@ def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
     changes.  Each map is a permutation, so at the fixed point every
     label is constant on the map's cycles and hence on whole classes.
     """
-    maps = [_conjugation_map(group, g) for g in group.generators]
-    label = np.arange(group.order, dtype=np.int32)
+    scalars = _center_tables(group.field, group.dim, _bits_for(group.field),
+                             group.center_scalars)
+    maps = [_conjugation_map(group, g, scalars) for g in group.generators]
+    label = np.arange(group.elements.size, dtype=np.int32)
     while True:
         prev = label
         for m in maps:
@@ -520,29 +566,65 @@ def _even_mask(n: int) -> bytes:
     return mask
 
 
+def _lex_permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m) in lexicographic order, one uint8 row
+    each: block j starts with j and continues with the permutations of the
+    other points, themselves in lexicographic order."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    for size in range(1, m + 1):
+        points = np.arange(size, dtype=np.uint8)
+        perms = np.concatenate([
+            np.column_stack((np.full(len(perms), j, dtype=np.uint8),
+                             np.delete(points, j)[perms]))
+            for j in range(size)])
+    return perms
+
+
+def _cycle_length_masks(perm: np.ndarray) -> np.ndarray:
+    """The distinct masks among the rows of perm, where bit t of a row's
+    mask is set iff that permutation has a cycle of length t.
+
+    Every point is followed, one gather per step, for up to n steps; its
+    first return to itself gives the length of its cycle.  The arrays are
+    point-major, so each step works on whole contiguous rows."""
+    rows, n = perm.shape
+    start = np.arange(n * rows, dtype=np.intp).reshape(n, rows)
+    image = (perm.T.astype(np.intp) * rows + start[0]).ravel()
+    at = image.reshape(n, rows)
+    open_ = np.ones((n, rows), dtype=bool)
+    masks = np.zeros(rows, dtype=np.uint16)
+    for t in range(1, n + 1):
+        back = (at == start) & open_
+        open_ ^= back
+        masks |= back.any(axis=0).astype(np.uint16) << t
+        if t < n:
+            at = image.take(at)
+    return np.unique(masks)
+
+
 def alternating_orders_bruteforce(n: int) -> list:
-    """All element orders of the alternating group of degree n (5..10):
-    every even permutation, selected by the lexicographic parity mask, is
-    split into cycles and its order taken as the lcm of the cycle lengths.
-    Independent of the prime-power criterion in spectra.mu_alternating."""
+    """All element orders of the alternating group of degree n (5..10).
+
+    For each first entry k, the block of lexicographic permutations that
+    start with k is built as an array and its even rows are selected by
+    the parity mask; every even permutation's cycles are measured, in
+    chunks of _PERM_CHUNK rows, and its order is the lcm of its cycle
+    lengths.  Independent of the prime-power criterion in
+    spectra.mu_alternating."""
     if not 5 <= n <= 10:
         raise ValueError("permutation scan supports 5 <= n <= 10")
-    orders = set()
-    for perm in itertools.compress(itertools.permutations(range(n)),
-                                   _even_mask(n)):
-        seen = [False] * n
-        order = 1
-        for i in range(n):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                order = lcm(order, length)
-        orders.add(order)
-    return sorted(orders)
+    tail = _lex_permutations(n - 1)
+    even = np.frombuffer(_even_mask(n), dtype=bool).reshape(n, -1)
+    points = np.arange(n, dtype=np.uint8)
+    masks = set()
+    for k in range(n):
+        rest = tail[even[k]]
+        block = np.column_stack((np.full(len(rest), k, dtype=np.uint8),
+                                 np.delete(points, k)[rest]))
+        for lo in range(0, len(block), _PERM_CHUNK):
+            masks.update(_cycle_length_masks(block[lo:lo + _PERM_CHUNK]).tolist())
+    return sorted({lcm(*(t for t in range(1, n + 1) if m >> t & 1))
+                   for m in masks})
 
 
 def alternating_spectrum_bruteforce(n: int) -> Spectrum:
@@ -553,10 +635,12 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 # named targets
 
 def _sampled_closure(F, dim, target, seed, gram=None, e=1):
-    """Closure of two isometries of (gram, sigma) drawn from a seeded rng,
-    which also draws any extra generator on an undershoot."""
+    """Closure, modulo the form's scalars, of two isometries of
+    (gram, sigma) drawn from a seeded rng, which also draws any extra
+    generator on an undershoot."""
+    center = form_center(F, dim, gram, e)
     sample = partial(random_isometry, F, dim, random.Random(seed), gram, e)
-    return closure([sample(), sample()], target, F, dim, sample)
+    return closure([sample(), sample()], target, F, dim, sample, center)
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
@@ -573,7 +657,7 @@ def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     target = q ** (n * (n - 1) // 2)
     for i in range(2, n + 1):
         target *= q**i - (-1) ** i
-    return _sampled_closure(F, n, target, seed, _identity(n), q)
+    return _sampled_closure(F, n, target, seed, _scalar_matrix(n), q)
 
 
 def sp4_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
@@ -607,8 +691,6 @@ _MATRIX_TARGETS = {
     "SU4_3": (partial(su_group, 4, 3), partial(mu_U4, 3)),
     "SP4_5": (partial(sp4_group, 5), partial(mu_S4, 5)),
 }
-
-HEAVY_TARGETS = frozenset({"SP4_5"})
 
 ORACLE_TARGETS = tuple(sorted(_MATRIX_TARGETS)) + tuple(
     f"A{n}" for n in range(5, 11))

@@ -2,14 +2,16 @@
 for the alternating-group spectrum in gkod.spectra, and for the arith,
 catalog and graph routines that replaced a scan.
 
-The engine builds fields from tables, computes element orders once per
-conjugacy class and closes groups through row tables; these are the paths
-it replaced, kept to check it: fields built by polynomial arithmetic (a
-Rabin irreducibility test, a primitive-element test on the (q-1)/l-th
-powers), scalar matrix products, an exhaustive per-element order scan on
-them, a scalar breadth-first closure, order-by-exponent arithmetic, and
-the hand-coded unitary and symplectic form checks that the one
-(Gram, sigma) isometry check replaced.
+The engine builds fields from tables, closes groups through row tables
+modulo their scalars, computes element orders once per conjugacy class
+and scans permutations as arrays; these are the paths it replaced, kept
+to check it: fields built by polynomial arithmetic (a Rabin
+irreducibility test, a primitive-element test on the (q-1)/l-th powers),
+scalar matrix products, a scalar breadth-first closure of the whole
+linear group and its least coset keys, an exhaustive per-element order
+scan on it, order-by-exponent arithmetic, the hand-coded unitary and
+symplectic form checks that the one (Gram, sigma) isometry check
+replaced, and the per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
 over partitions, kept here as partition_orders_alternating.
 
@@ -34,7 +36,7 @@ from gkod.catalog import (
     _valid_quiet,
     canonicalize,
 )
-from gkod.oracle import _bits_for, _pack, _unpack, mat_det
+from gkod.oracle import _bits_for, _even_mask, _pack, mat_det
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +254,15 @@ def element_order_mod_center(F, M, center_scalars) -> int:
         k += 1
 
 
-def exhaustive_orders_mod_center(group):
-    """Order modulo the scalars of every element, scanned element by
+def exhaustive_orders_mod_center(F, matrices, center_scalars):
+    """Order modulo the scalars of every matrix given, scanned element by
     element with scalar products.  Returns the set of orders."""
-    F, n = group.field, group.dim
-    return {element_order_mod_center(F, M, group.center_scalars)
-            for M in _unpack(group.elements, n, _bits_for(F)).tolist()}
+    return {element_order_mod_center(F, M, center_scalars) for M in matrices}
 
 
-def scalar_closure_keys(F, dim, gens):
-    """Sorted packed keys of the closure of gens, by a breadth-first search
-    on scalar matrices with mat_mul."""
+def scalar_closure(F, dim, gens):
+    """Every element of the group gens generate, as sorted scalar
+    matrices, by a breadth-first search with mat_mul."""
     seen = {identity_matrix(dim)}
     frontier = list(seen)
     while frontier:
@@ -274,7 +274,23 @@ def scalar_closure_keys(F, dim, gens):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return np.sort(_pack(np.array(sorted(seen), dtype=np.uint16), _bits_for(F)))
+    return sorted(seen)
+
+
+def scalars_in(matrices):
+    """The lam with lam*I among the matrices, ascending."""
+    return tuple(sorted(lam for M in matrices
+                        if (lam := _scalar_of(M)) is not None))
+
+
+def least_coset_keys(F, matrices, center_scalars):
+    """Sorted distinct packed keys of the least lam*M over the scalars,
+    one per coset of the scalar subgroup among the matrices."""
+    keys = [_pack(np.array([[[F.mul(lam, a) for a in row] for row in M]
+                            for lam in center_scalars], dtype=np.uint16),
+                  _bits_for(F)).min()
+            for M in matrices]
+    return np.unique(np.array(keys, dtype=np.uint64))
 
 
 def matrix_power(F, M, e):
@@ -306,6 +322,29 @@ def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
         while o % p == 0 and central(o // p):
             o //= p
     return o
+
+
+def alternating_orders_loop(n):
+    """Element orders of the alternating group of degree n, one even
+    permutation at a time: each lexicographic permutation the parity mask
+    selects is split into cycles in Python, its order the lcm of the cycle
+    lengths."""
+    orders = set()
+    for perm in itertools.compress(itertools.permutations(range(n)),
+                                   _even_mask(n)):
+        seen = [False] * n
+        order = 1
+        for i in range(n):
+            if not seen[i]:
+                length = 0
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = perm[j]
+                    length += 1
+                order = lcm(order, length)
+        orders.add(order)
+    return sorted(orders)
 
 
 def partition_orders_alternating(n):

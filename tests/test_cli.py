@@ -175,8 +175,10 @@ def test_oracle_alternating_target(capsys):
     assert "match: True" in out
 
 
-def test_oracle_heavy_gate(capsys):
-    assert main(["oracle", "SP4_5"]) == 1
+def test_oracle_heavy_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "SP4_5", "--heavy"])
+    assert exc.value.code == 2
     assert "--heavy" in capsys.readouterr().err
 
 

@@ -1,29 +1,31 @@
 import itertools
 import random
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial
 
 import pytest
 
 import numpy as np
 from oracle_ref import (
+    alternating_orders_loop,
     element_order_by_exponent,
     element_order_mod_center,
     exhaustive_orders_mod_center,
     identity_matrix,
     is_special_unitary,
     is_symplectic4,
+    least_coset_keys,
     mat_mul,
     matrix_power,
     polynomial_field,
-    scalar_closure_keys,
+    scalar_closure,
+    scalars_in,
 )
 
 from gkod.arith import primes_upto
 from gkod.oracle import (
     DEFAULT_SEED,
     FormViolationError,
-    HEAVY_TARGETS,
     MAX_CLOSURE,
     ORACLE_TARGETS,
     MatrixGroup,
@@ -34,6 +36,7 @@ from gkod.oracle import (
     alternating_spectrum_bruteforce,
     closure,
     conjugacy_classes,
+    form_center,
     is_isometry,
     make_field,
     mat_det,
@@ -189,12 +192,18 @@ def test_matrix_group_contains():
     grp = sl2_group(5)
     assert grp.contains(identity_matrix(2))
     assert grp.contains(((1, 1), (0, 1)))
+    assert grp.contains(((4, 4), (0, 4)))  # -T, in the coset of T
     assert not grp.contains(((2, 0), (0, 1)))  # det 2
 
 
 def test_center_scalars():
     assert set(sl2_group(5).center_scalars) == {1, 4}   # +-identity
     assert set(su_group(3, 3).center_scalars) == {1}    # gcd(3, 4) = 1
+    assert su_group(3, 2).center_scalars == (1, 2, 3)   # all of F_4^*
+    F, gram, e, _ = _form_case("SU", 3, 2, 4)
+    assert len(form_center(F, 4, gram, e)) == 4         # 4th roots of 1 in F_9
+    F, omega, e, _ = _form_case("SP", 5, 1, 4)
+    assert form_center(F, 4, omega, e) == (1, 4)        # +-identity
 
 
 def test_element_order_paths_agree():
@@ -267,8 +276,9 @@ def test_sp4_3_is_u4_2():
     assert spectrum_mod_center(grp).mu == (5, 9, 12)
 
 
-@pytest.mark.parametrize("build", [partial(sp4_group, 3), partial(su_group, 3, 3)],
-                         ids=["SP4_3", "SU3_3"])
+@pytest.mark.parametrize("build", [partial(sp4_group, 3), partial(su_group, 3, 3),
+                                   partial(sl2_group, 7), partial(su_group, 3, 2)],
+                         ids=["SP4_3", "SU3_3", "SL2_7", "SU3_2"])
 def test_elements_independent_of_seed(build):
     want = build(seed=DEFAULT_SEED).elements
     for seed in (1, 2):
@@ -281,31 +291,68 @@ _SMALL_GROUPS = {
     "SL2_7": lambda: sl2_group(7),
     "SL2_9": lambda: sl2_group(9),
     "SL2_13": lambda: sl2_group(13),
+    "SU3_2": lambda: su_group(3, 2),
     "SU3_3": lambda: su_group(3, 3),
 }
 
 
+@lru_cache(maxsize=None)
+def _reference(name):
+    """The group, and every element of the linear group its generators
+    span, closed by the scalar reference BFS."""
+    grp = _SMALL_GROUPS[name]()
+    return grp, scalar_closure(grp.field, grp.dim, grp.generators)
+
+
 @pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
 def test_class_scan_matches_exhaustive_scan(name):
-    grp = _SMALL_GROUPS[name]()
-    want = Spectrum.from_values(exhaustive_orders_mod_center(grp), "oracle")
+    grp, full = _reference(name)
+    orders = exhaustive_orders_mod_center(grp.field, full, scalars_in(full))
+    want = Spectrum.from_values(orders, "oracle")
     assert spectrum_mod_center(grp).mu == want.mu
 
 
-@pytest.mark.parametrize("name", ["SL2_5", "SL2_7", "SU3_3"])
+@pytest.mark.parametrize("name", ["SL2_5", "SL2_7", "SU3_2", "SU3_3"])
 def test_row_table_closure_matches_scalar_bfs(name):
-    grp = _SMALL_GROUPS[name]()
-    want = scalar_closure_keys(grp.field, grp.dim, grp.generators)
+    grp, full = _reference(name)
+    assert grp.order == len(full)
+    want = least_coset_keys(grp.field, full, scalars_in(full))
     assert np.array_equal(grp.elements, want)
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
+def test_form_center_matches_reference_scalars(name):
+    grp, full = _reference(name)
+    assert grp.center_scalars == scalars_in(full)
+
+
+@pytest.mark.parametrize("drop", [1, 2, 3])
+def test_closure_without_a_central_scalar_is_form_violation(drop):
+    # without lam, a least key over the rest no longer names one coset of
+    # Z: each coset yields two, past the target |G|/(|Z| - 1)
+    grp = su_group(3, 2)
+    center = tuple(lam for lam in grp.center_scalars if lam != drop)
+    with pytest.raises(FormViolationError):
+        closure(grp.generators, grp.order, grp.field, grp.dim, center=center)
 
 
 @pytest.mark.parametrize("name,count", [
     ("SL2_4", 4 + 1), ("SL2_5", 5 + 4), ("SL2_7", 7 + 4), ("SL2_9", 9 + 4),
     ("SL2_13", 13 + 4), ("SU3_3", 14)])
 def test_conjugacy_class_counts(name, count):
-    """SL2(q) has q + 4 classes for odd q and q + 1 for even q."""
-    label = conjugacy_classes(_SMALL_GROUPS[name]())
-    assert np.unique(label).size == count
+    """SL2(q) has q + 4 classes for odd q and q + 1 for even q; closed
+    with the trivial centre, the group is the whole linear group."""
+    grp = _SMALL_GROUPS[name]()
+    full = closure(grp.generators, grp.order, grp.field, grp.dim)
+    assert full.elements.size == grp.order
+    assert np.unique(conjugacy_classes(full)).size == count
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13])
+def test_projective_class_counts(q):
+    """PSL2(q) has (q + 5)/2 classes for odd q."""
+    label = conjugacy_classes(sl2_group(q))
+    assert np.unique(label).size == (q + 5) // 2
 
 
 def test_conjugate_outside_elements_is_form_violation():
@@ -348,6 +395,11 @@ def test_alternating_full_omega_equality(n):
     assert alternating_spectrum_bruteforce(n).mu == mu_alternating(n).mu
 
 
+@pytest.mark.parametrize("n", range(5, 10))
+def test_permutation_scan_matches_loop(n):
+    assert alternating_orders_bruteforce(n) == alternating_orders_loop(n)
+
+
 def test_alternating_a10_mu(oracle_runner):
     res = oracle_runner("A10")
     assert res.match and res.mu_oracle.mu == (8, 9, 10, 12, 15, 21)
@@ -369,16 +421,14 @@ def test_alternating_range_check():
 
 
 # ---------------------------------------------------------------------------
-# registry and heavy tier
+# registry and the largest closures
 
 def test_target_registry():
-    assert set(HEAVY_TARGETS) == {"SP4_5"}
-    assert "SU4_3" in ORACLE_TARGETS and "A7" in ORACLE_TARGETS
+    assert {"SU4_3", "SP4_5", "A7"} <= set(ORACLE_TARGETS)
     with pytest.raises(ValueError):
         run_target("SL3_3")
 
 
-@pytest.mark.heavy
 def test_heavy_sp4_5(oracle_runner):
     res = oracle_runner("SP4_5")
     assert res.enumerated == 5**4 * (5**2 - 1) * (5**4 - 1) == 9360000
