@@ -32,7 +32,6 @@ from .graph import (
     PrimeGraph,
     build_gk,
     components,
-    degree_classes,
     degree_pattern,
     independence,
     independence_at,

@@ -14,6 +14,8 @@ from math import gcd, log2, prod
 
 DEFAULT_PRIME_BOUND = 37
 MAX_PRIME_BOUND = 10_000
+# primes per trial-division block of factorize
+_BLOCK = 24
 
 # deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -95,6 +97,7 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+@lru_cache(maxsize=1024)
 def prime_power(q: int):
     """Return (p, k) with q = p**k, or None if q is not a prime power.
 
@@ -104,7 +107,8 @@ def prime_power(q: int):
     2**(bitlen(t) - 1) < r and k <= bits / (bitlen(t) - 1).  Only prime
     exponents k are tried, since a k-th power is also a power with each
     prime factor of k as exponent; at the first exact root the answer is
-    that of the root, with the exponent multiplied by k.
+    that of the root, with the exponent multiplied by k.  Memoised, since
+    one group's validation and spectrum ask for the same q.
     """
     if q < 2:
         return None
@@ -210,8 +214,22 @@ def parse_factorization(text: str) -> Factorization:
     return Factorization(tuple(pairs))
 
 
+@lru_cache(maxsize=64)
+def _prime_blocks(bound: int) -> tuple:
+    """The primes <= bound in runs of _BLOCK, each with its product."""
+    ps = primes_upto(bound)
+    return tuple((ps[i:i + _BLOCK], prod(ps[i:i + _BLOCK]))
+                 for i in range(0, len(ps), _BLOCK))
+
+
 def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Factorization:
     """Factor n by trial division over primes <= prime_bound.
+
+    The primes go in blocks of _BLOCK consecutive ones; a block whose
+    product is coprime to n is skipped, and only the primes dividing that
+    gcd are divided out.  Once the next block starts at a prime p with
+    p^2 > n, what is left of n has no prime factor below p, so it is 1 or
+    a prime: a factor if it is <= prime_bound, the residual otherwise.
 
     Parameters
     ----------
@@ -230,15 +248,22 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Factorization:
     if not 2 <= prime_bound <= MAX_PRIME_BOUND:
         raise ValueError(f"prime_bound must be in [2, {MAX_PRIME_BOUND}]")
     pairs = []
-    for p in primes_upto(prime_bound):
-        if n == 1:
+    for block, block_product in _prime_blocks(prime_bound):
+        if block[0] * block[0] > n:
+            if 1 < n <= prime_bound:
+                pairs.append((n, 1))
+                n = 1
             break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            pairs.append((p, e))
+        d = gcd(n, block_product)
+        if d == 1:
+            continue
+        for p in block:
+            if d % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                pairs.append((p, e))
     return Factorization(tuple(pairs), n)
 
 

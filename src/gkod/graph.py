@@ -2,17 +2,19 @@
 degree patterns, connected/order components, independence numbers, clique
 decompositions and deterministic DOT/JSON output.
 
-A graph is built from an order factorization plus a spectrum antichain mu;
-the edge test p ~ q iff pq divides some member of mu is equivalent to
-testing pq against the full divisor closure, so omega is never
-materialized.
+A graph is built from a complete order factorization plus a spectrum
+antichain mu.  Every member's primes come from dividing it by the order's
+primes, and p ~ q iff p and q both divide one member; an edge of the full
+divisor closure lies in some member of mu, so omega is never
+materialized.  A graph keeps one bitmask adjacency, from which the
+degrees, components and independent sets are read.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, divisor_closure, prime_factors
+from .arith import Factorization, prime_factors
 
 
 class CauchyConsistencyError(ValueError):
@@ -49,22 +51,43 @@ class PrimeGraph:
         return cls(tuple(sorted(set(vertices))), tuple(norm))
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in self.vertices}
+    def masks(self) -> tuple:
+        """Bitmask adjacency: bit j of masks[i] is set iff vertices[i] and
+        vertices[j] are adjacent."""
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        masks = [0] * len(self.vertices)
         for p, q in self.edges:
-            adj[p].add(q)
-            adj[q].add(p)
-        return adj
+            masks[idx[p]] |= 1 << idx[q]
+            masks[idx[q]] |= 1 << idx[p]
+        return tuple(masks)
 
     @cached_property
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+    def connected_components(self) -> tuple:
+        """Vertex sets of the connected components, each ascending, in the
+        order of their least vertex; so for an even order the component
+        holding 2, the least prime, leads."""
+        masks, out = self.masks, []
+        left = (1 << len(masks)) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            out.append(tuple(v for i, v in enumerate(self.vertices) if comp >> i & 1))
+        return tuple(out)
 
     def has_edge(self, p: int, q: int) -> bool:
-        return tuple(sorted((p, q))) in self._edge_set
+        vs = self.vertices
+        return p in vs and q in vs and bool(self.masks[vs.index(p)] >> vs.index(q) & 1)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.masks[self.vertices.index(v)].bit_count()
 
     def json_dict(self) -> dict:
         return {"vertices": list(self.vertices),
@@ -117,48 +140,40 @@ class OrderComponents:
 def build_gk(order: Factorization, mu) -> PrimeGraph:
     """Prime graph on the primes of |G| with p ~ q iff pq divides a member
     of mu.  The spectrum's support must equal the order's support (every
-    prime of |G| occurs as an element order, and orders divide |G|)."""
-    mu_vals = tuple(mu)
+    prime of |G| occurs as an element order, and orders divide |G|).
+
+    Each member is divided by the order's primes.  A cofactor above 1 is
+    made of primes outside the order; only then is it factored, to name the
+    least such prime over all members."""
     vertices = order.primes()
     if not order.is_complete:
         raise ValueError("order factorization must be complete")
-    support = set()
-    for m in mu_vals:
-        support.update(prime_factors(m))
-    extra = sorted(support - set(vertices))
-    if extra:
-        raise CauchyConsistencyError(extra[0], "divides the spectrum but not the order")
-    missing = sorted(set(vertices) - support)
+    edges, support, cofactors = set(), set(), []
+    for m in mu:
+        if m < 1:
+            raise ValueError(f"spectrum members must be >= 1, got {m}")
+        ps = []
+        for p in vertices:
+            if m % p == 0:
+                ps.append(p)
+                m //= p
+                while m % p == 0:
+                    m //= p
+        if m > 1:
+            cofactors.append(m)
+        support.update(ps)
+        edges.update(itertools.combinations(ps, 2))
+    if cofactors:
+        raise CauchyConsistencyError(min(prime_factors(m)[0] for m in cofactors),
+                                     "divides the spectrum but not the order")
+    missing = [p for p in vertices if p not in support]
     if missing:
         raise CauchyConsistencyError(missing[0], "divides the order but no element order")
-    edges = [(p, q) for p, q in itertools.combinations(vertices, 2)
-             if any(m % (p * q) == 0 for m in mu_vals)]
-    return PrimeGraph(vertices, tuple(edges))
+    return PrimeGraph(vertices, tuple(sorted(edges)))
 
 
 def degree_pattern(g: PrimeGraph) -> DegreePattern:
-    return DegreePattern(g.vertices, tuple(g.degree(v) for v in g.vertices))
-
-
-def _connected_components(g: PrimeGraph) -> list:
-    seen = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend(g.adjacency[u] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    # even-order convention: the component holding 2 leads; otherwise the
-    # components are simply ordered by smallest contained prime
-    comps.sort(key=lambda c: (0 if 2 in c else 1, c[0]))
-    return comps
+    return DegreePattern(g.vertices, tuple(m.bit_count() for m in g.masks))
 
 
 def components(g: PrimeGraph, order: Factorization) -> OrderComponents:
@@ -167,10 +182,10 @@ def components(g: PrimeGraph, order: Factorization) -> OrderComponents:
     if tuple(order.primes()) != g.vertices:
         raise ValueError("order support does not match graph vertices")
     return OrderComponents(tuple(
-        (comp, order.restrict(comp)) for comp in _connected_components(g)))
+        (comp, order.restrict(comp)) for comp in g.connected_components))
 
 
-def _first_max_independent(g: PrimeGraph, masks: list, chosen: int, cand: int):
+def _first_max_independent(g: PrimeGraph, chosen: int, cand: int):
     """(t, witness): the lexicographically least maximum independent set
     extending the chosen vertex mask by open vertices from cand.
 
@@ -179,6 +194,7 @@ def _first_max_independent(g: PrimeGraph, masks: list, chosen: int, cand: int):
     a branch ends once its chosen and open vertices cannot beat the best
     size so far, and only a set that beats it is kept.
     """
+    masks = g.masks
     best_size, best = 0, 0
 
     def search(chosen, size, cand):
@@ -200,26 +216,16 @@ def _first_max_independent(g: PrimeGraph, masks: list, chosen: int, cand: int):
 def independence(g: PrimeGraph):
     """(t, witness): exact independence number with the lexicographically
     least maximum independent set."""
-    return _first_max_independent(g, _bitmasks(g), 0, (1 << len(g.vertices)) - 1)
-
-
-def _bitmasks(g: PrimeGraph) -> list:
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    masks = [0] * len(g.vertices)
-    for p, q in g.edges:
-        masks[idx[p]] |= 1 << idx[q]
-        masks[idx[q]] |= 1 << idx[p]
-    return masks
+    return _first_max_independent(g, 0, (1 << len(g.vertices)) - 1)
 
 
 def independence_at(g: PrimeGraph, r: int):
     """(t_r, witness): largest independent set constrained to contain r."""
-    if r not in g.adjacency:
+    if r not in g.vertices:
         raise ValueError(f"{r} is not a vertex")
-    masks = _bitmasks(g)
     ir = g.vertices.index(r)
-    cand = ((1 << len(g.vertices)) - 1) & ~(1 << ir) & ~masks[ir]
-    return _first_max_independent(g, masks, 1 << ir, cand)
+    cand = ((1 << len(g.vertices)) - 1) & ~(1 << ir) & ~g.masks[ir]
+    return _first_max_independent(g, 1 << ir, cand)
 
 
 @dataclass(frozen=True)
@@ -235,43 +241,13 @@ class SuzukiDecomposition:
 def suzuki_decomposition(g: PrimeGraph) -> SuzukiDecomposition:
     """Check that each connected component except the leading one is a
     clique; returns the clique sizes, or the first non-adjacent pair."""
-    comps = _connected_components(g)
     sizes = []
-    for comp in comps[1:]:
+    for comp in g.connected_components[1:]:
         for a, b in itertools.combinations(comp, 2):
-            if b not in g.adjacency[a]:
+            if not g.has_edge(a, b):
                 return SuzukiDecomposition(False, violation=(a, b))
         sizes.append(len(comp))
     return SuzukiDecomposition(True, clique_sizes=tuple(sizes))
-
-
-@dataclass(frozen=True)
-class DegreeClasses:
-    """Partition of vertices by degree plus two derived connectivity facts:
-    the component count is at least the number of isolated vertices, and a
-    vertex of full degree forces a connected graph."""
-
-    classes: dict
-    component_count: int
-    isolated_bound_ok: bool
-    full_degree_implies_connected: bool
-
-
-def degree_classes(g: PrimeGraph) -> DegreeClasses:
-    classes = {}
-    for v in g.vertices:
-        classes.setdefault(g.degree(v), []).append(v)
-    classes = {d: tuple(vs) for d, vs in sorted(classes.items())}
-    s = len(_connected_components(g))
-    isolated = len(classes.get(0, ()))
-    k = len(g.vertices)
-    full = classes.get(k - 1, ())
-    facts_ok = s >= isolated
-    full_ok = (not full) or s == 1
-    if not facts_ok:
-        raise AssertionError(
-            "component count fell below the isolated-vertex count")
-    return DegreeClasses(classes, s, facts_ok, full_ok)
 
 
 def to_dot(g: PrimeGraph) -> str:
@@ -284,8 +260,3 @@ def to_dot(g: PrimeGraph) -> str:
         lines.append(f"  {p} -- {q};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def graph_equivalent_under_closure(order: Factorization, mu) -> bool:
-    """Edge sets from mu and from its full divisor closure coincide."""
-    return build_gk(order, mu) == build_gk(order, divisor_closure(mu))

@@ -19,22 +19,41 @@ The rest are the routines replaced in arith, catalog and graph:
 prime_power by trial division over a sieve, the quadratic antichain filter,
 enumerate_S_p over plain bounds with no q - 1 gate and no search space
 from Zsigmondy's theorem, and the lexicographically least
-witness by a scan over vertex combinations.
+witness by a scan over vertex combinations.  factorize and the prime graph
+had a plain trial division over every prime, a graph build that factors
+each member of mu on its own and tests pq against every member, and
+neighbour sets with a depth-first component search in place of the one
+bitmask adjacency.  Last come degree classes and the mu-versus-closure
+graph equivalence, facts that only the tests check.
 """
 
 import itertools
+from dataclasses import dataclass
 from math import factorial, lcm
 from types import SimpleNamespace
 
 import numpy as np
 
-from gkod.arith import factorize, is_prime, prime_factors, primes_upto
+from gkod.arith import (
+    Factorization,
+    divisor_closure,
+    factorize,
+    is_prime,
+    prime_factors,
+    primes_upto,
+)
 from gkod.catalog import (
     GroupId,
     _order_terms,
     _sporadic_table,
     _valid_quiet,
     canonicalize,
+)
+from gkod.graph import (
+    CauchyConsistencyError,
+    PrimeGraph,
+    SuzukiDecomposition,
+    build_gk,
 )
 from gkod.oracle import _bits_for, _even_mask, _pack, mat_det
 
@@ -395,10 +414,11 @@ def maximal_under_divisibility_quadratic(values):
 def lex_least_witness_scan(g, t, force=None):
     """First independent t-set of g (containing force, if given) among the
     vertex combinations in lexicographic order, or None if there is none."""
+    adj = adjacency(g)
     for comb in itertools.combinations(g.vertices, t):
         if force is not None and force not in comb:
             continue
-        if all(b not in g.adjacency[a] for a, b in itertools.combinations(comb, 2)):
+        if all(b not in adj[a] for a, b in itertools.combinations(comb, 2)):
             return comb
     return None
 
@@ -454,3 +474,132 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
                     if o is not None and o % p == 0:
                         found.add(canonicalize(g))
     return sorted(found, key=GroupId.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# factorization and prime graphs as they were before one bitmask adjacency
+
+def factorize_trial(n, prime_bound):
+    """arith.factorize by dividing n by every prime <= prime_bound in turn,
+    stopping early only at n = 1."""
+    pairs = []
+    for p in primes_upto(prime_bound):
+        if n == 1:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            pairs.append((p, e))
+    return Factorization(tuple(pairs), n)
+
+
+def build_gk_pq(order, mu):
+    """graph.build_gk by factoring every member of mu on its own and testing
+    pq against every member for each pair of the order's primes."""
+    mu_vals = tuple(mu)
+    vertices = order.primes()
+    if not order.is_complete:
+        raise ValueError("order factorization must be complete")
+    support = set()
+    for m in mu_vals:
+        support.update(prime_factors(m))
+    extra = sorted(support - set(vertices))
+    if extra:
+        raise CauchyConsistencyError(extra[0], "divides the spectrum but not the order")
+    missing = sorted(set(vertices) - support)
+    if missing:
+        raise CauchyConsistencyError(missing[0], "divides the order but no element order")
+    edges = [(p, q) for p, q in itertools.combinations(vertices, 2)
+             if any(m % (p * q) == 0 for m in mu_vals)]
+    return PrimeGraph(vertices, tuple(edges))
+
+
+def adjacency(g):
+    """Neighbour set of every vertex."""
+    adj = {v: set() for v in g.vertices}
+    for p, q in g.edges:
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
+
+
+def edge_set(g):
+    return frozenset(g.edges)
+
+
+def bitmasks(g):
+    """Adjacency bitmasks indexed like g.vertices."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    masks = [0] * len(g.vertices)
+    for p, q in g.edges:
+        masks[idx[p]] |= 1 << idx[q]
+        masks[idx[q]] |= 1 << idx[p]
+    return masks
+
+
+def connected_components_dfs(g):
+    """Connected vertex sets by a depth-first search over neighbour sets;
+    the component holding 2 first, the rest by least prime."""
+    adj = adjacency(g)
+    seen = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        stack, comp = [v], set()
+        while stack:
+            u = stack.pop()
+            if u in comp:
+                continue
+            comp.add(u)
+            stack.extend(adj[u] - comp)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    comps.sort(key=lambda c: (0 if 2 in c else 1, c[0]))
+    return comps
+
+
+def suzuki_decomposition_dfs(g):
+    """graph.suzuki_decomposition over the depth-first components and the
+    neighbour sets."""
+    adj = adjacency(g)
+    sizes = []
+    for comp in connected_components_dfs(g)[1:]:
+        for a, b in itertools.combinations(comp, 2):
+            if b not in adj[a]:
+                return SuzukiDecomposition(False, violation=(a, b))
+        sizes.append(len(comp))
+    return SuzukiDecomposition(True, clique_sizes=tuple(sizes))
+
+
+# ---------------------------------------------------------------------------
+# graph facts that only the tests check
+
+@dataclass(frozen=True)
+class DegreeClasses:
+    """Partition of vertices by degree plus two derived connectivity facts:
+    the component count is at least the number of isolated vertices, and a
+    vertex of full degree forces a connected graph."""
+
+    classes: dict
+    component_count: int
+    isolated_bound_ok: bool
+    full_degree_implies_connected: bool
+
+
+def degree_classes(g):
+    classes = {}
+    for v in g.vertices:
+        classes.setdefault(g.degree(v), []).append(v)
+    classes = {d: tuple(vs) for d, vs in sorted(classes.items())}
+    s = len(g.connected_components)
+    isolated = len(classes.get(0, ()))
+    full = classes.get(len(g.vertices) - 1, ())
+    return DegreeClasses(classes, s, s >= isolated, (not full) or s == 1)
+
+
+def graph_equivalent_under_closure(order, mu):
+    """Edge sets from mu and from its full divisor closure coincide."""
+    return build_gk(order, mu) == build_gk(order, divisor_closure(mu))

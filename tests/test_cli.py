@@ -29,6 +29,21 @@ def test_verify_json_matches_golden_bytes(capsys, family, param):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+GRAPH_GOLDEN_GROUPS = [("S4", "31"), ("U3", "27"), ("G2", "11"), ("U4", "31"),
+                       ("L2", "37"), ("A", "40")]
+
+
+@pytest.mark.parametrize("family,param", GRAPH_GOLDEN_GROUPS)
+@pytest.mark.parametrize("mode,suffix", [(None, "txt"), ("--dot", "dot"),
+                                         ("--json", "json")])
+def test_graph_matches_golden_bytes(capsys, family, param, mode, suffix):
+    argv = ["graph", family, param] + ([mode] if mode else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    golden = GOLDEN_DIR / f"graph_{family}_{param}.{suffix}"
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_graph_dot_output(capsys):
     assert main(["graph", "U3", "27", "--dot"]) == 0
     out = capsys.readouterr().out

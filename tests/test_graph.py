@@ -2,25 +2,49 @@ import json
 import random
 
 import pytest
-from oracle_ref import lex_least_witness_scan
+from oracle_ref import (
+    adjacency,
+    bitmasks,
+    build_gk_pq,
+    connected_components_dfs,
+    degree_classes,
+    edge_set,
+    factorize_trial,
+    graph_equivalent_under_closure,
+    lex_least_witness_scan,
+    suzuki_decomposition_dfs,
+)
 
-from gkod.arith import Factorization, divisor_closure, parse_factorization
-from gkod.catalog import order_of, parse_label, s37_reference
+from gkod.arith import (
+    Factorization,
+    divisor_closure,
+    factorize,
+    next_prime_after,
+    parse_factorization,
+    prime_power,
+    primes_upto,
+)
+from gkod.catalog import (
+    GroupId,
+    ParameterError,
+    order_of,
+    order_value,
+    parse_label,
+    s37_reference,
+)
 from gkod.graph import (
     CauchyConsistencyError,
     DegreePattern,
     PrimeGraph,
     build_gk,
     components,
-    degree_classes,
     degree_pattern,
-    graph_equivalent_under_closure,
     independence,
     independence_at,
     suzuki_decomposition,
     to_dot,
 )
-from gkod.spectra import spectrum_of
+from gkod.spectra import UnsupportedParameterError, spectrum_of
 
 # frozen from the published figure of the four prime graphs
 FIG_EDGES = {
@@ -67,6 +91,12 @@ def test_build_gk_cauchy_violation_names_prime():
     with pytest.raises(CauchyConsistencyError) as err:
         build_gk(parse_factorization("2·3"), [2, 3, 5])
     assert err.value.prime == 5
+
+
+def test_build_gk_rejects_nonpositive_member():
+    for m in (0, -6):
+        with pytest.raises(ValueError):
+            build_gk(parse_factorization("2·3"), [2, 3, m])
 
 
 def test_degree_pattern_edgeless():
@@ -270,3 +300,114 @@ def test_json_dicts():
     assert oc["components"][1] == {"order": [[19, 1], [37, 1]],
                                    "primes": [19, 37]}
     json.dumps([gd, dp, oc])  # serializable
+
+
+# ---------------------------------------------------------------------------
+# parity with the paths that the one-factorization build and the bitmask
+# adjacency replaced (tests/oracle_ref.py)
+
+def _closed_form_groups(max_q):
+    """Every L2, U3, U4, S4 and G2 group with q < max_q and a closed-form
+    spectrum."""
+    for family, n in (("L", 2), ("U", 3), ("U", 4), ("S", 4), ("G2", None)):
+        for q in range(2, max_q):
+            if not prime_power(q):
+                continue
+            g = GroupId(family, n=n, q=q)
+            try:
+                mu = spectrum_of(g)
+            except (UnsupportedParameterError, ParameterError):
+                continue
+            yield g, mu
+
+
+def test_closed_form_graphs_match_replaced_paths():
+    checked = 0
+    for g, mu in _closed_form_groups(2000):
+        n = order_value(g)
+        order = factorize(n, 10**4)
+        assert order == factorize_trial(n, 10**4), g.label()
+        if not order.is_complete:
+            continue
+        gk = build_gk(order, mu)
+        assert gk == build_gk_pq(order, mu), g.label()
+        assert list(gk.masks) == bitmasks(gk)
+        adj = adjacency(gk)
+        assert [gk.degree(v) for v in gk.vertices] == [len(adj[v]) for v in gk.vertices]
+        assert list(gk.connected_components) == connected_components_dfs(gk)
+        t, w = independence(gk)
+        assert w == lex_least_witness_scan(gk, t), g.label()
+        assert lex_least_witness_scan(gk, t + 1) is None
+        t2, w2 = independence_at(gk, 2)
+        assert w2 == lex_least_witness_scan(gk, t2, force=2), g.label()
+        assert lex_least_witness_scan(gk, t2 + 1, force=2) is None
+        assert suzuki_decomposition(gk) == suzuki_decomposition_dfs(gk), g.label()
+        checked += 1
+    assert checked > 900
+
+
+def test_has_edge_matches_edge_set_on_random_graphs():
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for _ in range(300):
+        vs = primes[:rng.randint(1, len(primes))]
+        edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
+                 if rng.random() < 0.4]
+        g = PrimeGraph.from_edges(vs, edges)
+        for p in primes + (1, 29):
+            for q in primes + (1, 29):
+                assert g.has_edge(p, q) == (tuple(sorted((p, q))) in edge_set(g))
+        assert list(g.connected_components) == connected_components_dfs(g)
+        assert suzuki_decomposition(g) == suzuki_decomposition_dfs(g)
+
+
+def _factorize_cases(rng, bound):
+    ps = primes_upto(bound)
+    below = ps[-1]
+    above = next_prime_after(bound)
+    yield 1
+    yield below
+    yield above
+    yield above**2
+    yield below * above
+    yield below**2 * above**3
+    for _ in range(150):
+        smooth = 1
+        for _ in range(rng.randint(1, 12)):
+            smooth *= rng.choice(ps) ** rng.randint(1, 4)
+        yield smooth
+        yield smooth * below
+        yield smooth * above
+        yield smooth * above**2
+        yield smooth * next_prime_after(rng.randrange(bound, 50 * bound))
+        yield smooth * next_prime_after(rng.randrange(bound, 50 * bound)) ** 2
+        yield rng.randrange(1, 1 << rng.randint(1, 200))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 37, 89, 97, 100, 2003, 10**4])
+def test_factorize_matches_trial_division(bound):
+    rng = random.Random(bound)
+    for n in _factorize_cases(rng, bound):
+        assert factorize(n, bound) == factorize_trial(n, bound), (n, bound)
+
+
+def _cauchy_error(build, order, mu):
+    with pytest.raises(CauchyConsistencyError) as err:
+        build(order, mu)
+    return err.value.prime, str(err.value)
+
+
+@pytest.mark.parametrize("order,mu,prime", [
+    ("2·3", [2 * 41, 3 * 43], 41),      # foreign primes in different members
+    ("2·3", [2 * 43, 3 * 41], 41),      # the least one sits in the later member
+    ("2·3", [2 * 43**2, 3 * 41 * 47], 41),
+    ("2·3·5", [6], 5),                  # a prime of the order is missing
+    ("2·3·5·7", [6, 7], 5),
+    ("2·3", [2, 3 * 41], 41),           # foreign before missing
+    ("2·3·5", [2 * 41], 41),
+])
+def test_cauchy_error_matches_pq_build(order, mu, prime):
+    order = parse_factorization(order)
+    got = _cauchy_error(build_gk, order, mu)
+    assert got == _cauchy_error(build_gk_pq, order, mu)
+    assert got[0] == prime

@@ -86,13 +86,24 @@ def test_enumeration_complete_against_2_15_bruteforce(primes, pattern):
     assert len(fam.graphs) == len(brute)  # duplicate-free
 
 
+# the four Table 1 families: group, primes, degree pattern, family size
+TABLE1_FAMILIES = (
+    ("S4(31)", (2, 3, 5, 13, 31, 37), (3, 3, 3, 1, 3, 1), 13),
+    ("U3(27)", (2, 3, 7, 13, 19, 37), (3, 2, 3, 2, 1, 1), 17),
+    ("G2(11)", (2, 3, 5, 7, 11, 19, 37), (3, 4, 3, 1, 3, 1, 1), 30),
+    ("U4(31)", (2, 3, 5, 7, 13, 19, 31, 37), (5, 5, 5, 2, 3, 2, 3, 3), 921),
+)
+
+
 def test_every_member_has_requested_pattern():
-    fam = enumerate_with_pattern((2, 3, 5, 7, 13, 19, 31, 37),
-                                 (5, 5, 5, 2, 3, 2, 3, 3))
-    assert len(fam) == 921
-    for g in fam.graphs:
-        assert degree_pattern(g).degrees == (5, 5, 5, 2, 3, 2, 3, 3)
-    assert gk_of("U4(31)") in fam.graphs
+    """Each graph that enumerate_with_pattern yields has exactly the
+    requested degrees, and GK(S) is among them."""
+    for label, primes, pattern, size in TABLE1_FAMILIES:
+        fam = enumerate_with_pattern(primes, pattern)
+        assert len(fam) == size, label
+        for g in fam.graphs:
+            assert degree_pattern(g).degrees == pattern, label
+        assert gk_of(label) in fam.graphs
 
 
 def test_infeasible_patterns_flagged():
