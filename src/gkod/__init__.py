@@ -4,13 +4,11 @@ uniqueness case analysis of S4(31), U3(27), G2(11) and U4(31)."""
 
 from .arith import (
     Factorization,
-    NonSmoothError,
     divisor_closure,
     factorize,
     is_smooth,
     maximal_under_divisibility,
     parse_factorization,
-    prime_support,
 )
 from .catalog import (
     GroupId,

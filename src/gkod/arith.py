@@ -21,17 +21,6 @@ _BLOCK = 24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class NonSmoothError(ValueError):
-    """Raised when an operation requires a B-smooth input and gets one with
-    a rough residual; the unfactored residual is carried for diagnostics."""
-
-    def __init__(self, n: int, bound: int, residual: int):
-        super().__init__(f"{n} is not {bound}-smooth (residual {residual})")
-        self.n = n
-        self.bound = bound
-        self.residual = residual
-
-
 @lru_cache(maxsize=64)
 def primes_upto(bound: int) -> tuple:
     """All primes <= bound, ascending (simple sieve, cached)."""
@@ -286,14 +275,6 @@ def is_smooth(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
         n //= d
         d = gcd(n, d)
     return n == 1
-
-
-def prime_support(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> tuple:
-    """Distinct primes dividing n, ascending; n must be prime_bound-smooth."""
-    f = factorize(n, prime_bound)
-    if not f.is_complete:
-        raise NonSmoothError(n, prime_bound, f.residual)
-    return f.primes()
 
 
 def maximal_under_divisibility(values) -> list:

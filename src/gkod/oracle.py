@@ -325,16 +325,22 @@ def _row_table(F, n, bits, h, transpose=False):
     """Entry r is the packed row r*h, for every packed row value r; with
     transpose, the key with that row as column 0 and zeros elsewhere
     (shifting it right by c*bits moves it to column c).  Values with a
-    field >= q are no row and stay 0."""
-    rows = np.unravel_index(np.arange(F.q ** n), (F.q,) * n)
-    rows = np.stack(rows, axis=-1).astype(np.uint16)[:, None, :]
-    prod = _batch_mul(F, rows, np.array(h, dtype=np.uint16))
-    if transpose:
-        cols = np.zeros((prod.shape[0], n, n), dtype=np.uint16)
-        cols[:, :, 0] = prod[:, 0, :]
-        prod = cols
+    field >= q are no row and stay 0.
+
+    By linearity r*h = sum_i r_i h_i over the rows h_i of h, so the
+    products over the first i coordinates extend to i + 1 by adding
+    every multiple of h_i: n add stages, one lookup per entry each."""
+    h = np.array(h, dtype=np.intp)
+    prod = np.zeros((1, n), dtype=np.uint16)
+    rows = np.zeros(1, dtype=np.intp)
+    for i in range(n):
+        prod = F.add_table[prod[:, None, :], F.mul_table[:, h[i]]].reshape(-1, n)
+        rows = ((rows[:, None] << bits) | np.arange(F.q)).ravel()
     table = np.zeros(1 << (n * bits), dtype=np.uint64)
-    table[_pack(rows, bits)] = _pack(prod, bits)
+    # with transpose, entry j goes to field j*n of the key: entries n*bits
+    # apart, the last one n - 1 fields above the low end
+    table[rows] = (_pack(prod, n * bits) << np.uint64((n - 1) * bits)
+                   if transpose else _pack(prod, bits))
     return table
 
 def _apply(table, keys, n, bits, transpose=False):
@@ -532,7 +538,11 @@ def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
     F, n = group.field, group.dim
     bits = _bits_for(F)
     center = _scalar_keys(F, n, group.center_scalars)
-    M = _unpack(group.elements[np.unique(conjugacy_classes(group))], n, bits)
+    label = conjugacy_classes(group)
+    # a label is the index of its class's least key: its fixed points are
+    # one representative per class, ascending
+    M = _unpack(group.elements[np.flatnonzero(label == np.arange(label.size))],
+                n, bits)
     P, k, orders = M, 1, set()
     while P.shape[0]:
         done = _member_mask(center, _pack(P, bits))
@@ -599,7 +609,7 @@ def _cycle_length_masks(perm: np.ndarray) -> np.ndarray:
         masks |= back.any(axis=0).astype(np.uint16) << t
         if t < n:
             at = image.take(at)
-    return np.unique(masks)
+    return np.flatnonzero(np.bincount(masks))
 
 
 def alternating_orders_bruteforce(n: int) -> list:
@@ -698,15 +708,15 @@ ORACLE_TARGETS = tuple(sorted(_MATRIX_TARGETS)) + tuple(
 
 def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
     """Run one named oracle target and compare against the formula route."""
-    if name.startswith("A") and name[1:].isdigit():
+    if name not in ORACLE_TARGETS:
+        raise ValueError(f"unknown oracle target {name!r} "
+                         f"(known: {', '.join(ORACLE_TARGETS)})")
+    if name not in _MATRIX_TARGETS:
         n = int(name[1:])
         mu_o = alternating_spectrum_bruteforce(n)
         mu_f = mu_alternating(n)
         return OracleResult(name, factorial(n) // 2, mu_o, mu_f,
                             mu_o.mu == mu_f.mu)
-    if name not in _MATRIX_TARGETS:
-        raise ValueError(f"unknown oracle target {name!r} "
-                         f"(known: {', '.join(ORACLE_TARGETS)})")
     build, formula = _MATRIX_TARGETS[name]
     grp = build(seed=seed)
     mu_o = spectrum_mod_center(grp)

@@ -179,11 +179,6 @@ def mu_alternating(n: int) -> Spectrum:
     return Spectrum(tuple(mu), SOURCE_PARTITION)
 
 
-def omega_alternating(n: int) -> list:
-    """Full sorted set of element orders of the alternating group."""
-    return mu_alternating(n).omega()
-
-
 def spectrum_of(g: GroupId) -> Spectrum:
     """Dispatch to the routine matching g's family and dimension."""
     validate_group(g)

@@ -9,7 +9,8 @@ to check it: fields built by polynomial arithmetic (a Rabin
 irreducibility test, a primitive-element test on the (q-1)/l-th powers),
 scalar matrix products, a scalar breadth-first closure of the whole
 linear group and its least coset keys, an exhaustive per-element order
-scan on it, order-by-exponent arithmetic, the hand-coded unitary and
+scan on it, row tables by one batch multiply of every row value,
+order-by-exponent arithmetic, the hand-coded unitary and
 symplectic form checks that the one (Gram, sigma) isometry check
 replaced, and the per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
@@ -24,7 +25,9 @@ had a plain trial division over every prime, a graph build that factors
 each member of mu on its own and tests pq against every member, and
 neighbour sets with a depth-first component search in place of the one
 bitmask adjacency.  Last come degree classes and the mu-versus-closure
-graph equivalence, facts that only the tests check.
+graph equivalence, facts that only the tests check.  prime_support
+(with NonSmoothError) and omega_alternating are helpers that only the
+tests use.
 """
 
 import itertools
@@ -55,7 +58,8 @@ from gkod.graph import (
     SuzukiDecomposition,
     build_gk,
 )
-from gkod.oracle import _bits_for, _even_mask, _pack, mat_det
+from gkod.oracle import _batch_mul, _bits_for, _even_mask, _pack, mat_det
+from gkod.spectra import mu_alternating
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +316,21 @@ def least_coset_keys(F, matrices, center_scalars):
     return np.unique(np.array(keys, dtype=np.uint64))
 
 
+def row_table_batch_mul(F, n, bits, h, transpose=False):
+    """gkod.oracle._row_table by one _batch_mul over every row value: q^n
+    rows times h, n^2 multiply lookups per row."""
+    rows = np.unravel_index(np.arange(F.q ** n), (F.q,) * n)
+    rows = np.stack(rows, axis=-1).astype(np.uint16)[:, None, :]
+    prod = _batch_mul(F, rows, np.array(h, dtype=np.uint16))
+    if transpose:
+        cols = np.zeros((prod.shape[0], n, n), dtype=np.uint16)
+        cols[:, :, 0] = prod[:, 0, :]
+        prod = cols
+    table = np.zeros(1 << (n * bits), dtype=np.uint64)
+    table[_pack(rows, bits)] = _pack(prod, bits)
+    return table
+
+
 def matrix_power(F, M, e):
     """M^e by repeated squaring."""
     r = identity_matrix(len(M))
@@ -366,6 +385,11 @@ def alternating_orders_loop(n):
     return sorted(orders)
 
 
+def omega_alternating(n):
+    """Full sorted set of element orders of the alternating group."""
+    return mu_alternating(n).omega()
+
+
 def partition_orders_alternating(n):
     """Element orders of the alternating group of degree n as the lcms of
     the partitions of n with an even number of even parts.  Exponential in
@@ -382,6 +406,25 @@ def partition_orders_alternating(n):
 
     rec(n, n, 0, 1)
     return orders
+
+
+class NonSmoothError(ValueError):
+    """Raised by prime_support on an input that is not prime_bound-smooth;
+    the unfactored residual is carried for diagnostics."""
+
+    def __init__(self, n, bound, residual):
+        super().__init__(f"{n} is not {bound}-smooth (residual {residual})")
+        self.n = n
+        self.bound = bound
+        self.residual = residual
+
+
+def prime_support(n, prime_bound=37):
+    """Distinct primes dividing n, ascending; n must be prime_bound-smooth."""
+    f = factorize(n, prime_bound)
+    if not f.is_complete:
+        raise NonSmoothError(n, prime_bound, f.residual)
+    return f.primes()
 
 
 def prime_power_trial(q):

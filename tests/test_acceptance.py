@@ -8,13 +8,14 @@ import itertools
 import random
 import time
 
-from oracle_ref import degree_classes, graph_equivalent_under_closure
-
-from gkod.arith import (
-    divisor_closure,
-    maximal_under_divisibility,
+from oracle_ref import (
+    degree_classes,
+    graph_equivalent_under_closure,
+    omega_alternating,
     prime_support,
 )
+
+from gkod.arith import divisor_closure, maximal_under_divisibility
 from gkod.catalog import enumerate_S_p, order_of, parse_label
 from gkod.graph import (
     build_gk,
@@ -24,7 +25,7 @@ from gkod.graph import (
     suzuki_decomposition,
 )
 from gkod.oracle import alternating_orders_bruteforce
-from gkod.spectra import mu_alternating, omega_alternating, spectrum_of
+from gkod.spectra import mu_alternating, spectrum_of
 from gkod.verifier import VERIFIED, enumerate_with_pattern, verify_case
 
 TABLE = {

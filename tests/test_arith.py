@@ -4,11 +4,15 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_ref import maximal_under_divisibility_quadratic, prime_power_trial
+from oracle_ref import (
+    NonSmoothError,
+    maximal_under_divisibility_quadratic,
+    prime_power_trial,
+    prime_support,
+)
 
 from gkod.arith import (
     Factorization,
-    NonSmoothError,
     _iroot,
     divisor_closure,
     divisors,
@@ -20,7 +24,6 @@ from gkod.arith import (
     parse_factorization,
     prime_factors,
     prime_power,
-    prime_support,
     primes_upto,
 )
 

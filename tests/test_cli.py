@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkod.cli import main
+from gkod.oracle import ORACLE_TARGETS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "table1.txt"
@@ -206,6 +210,60 @@ def test_oracle_sl2_37_needs_no_heavy(capsys):
 def test_oracle_unknown_target(capsys):
     assert main(["oracle", "SL3_3"]) == 1
     assert "unknown oracle target" in capsys.readouterr().err
+
+
+def test_oracle_help_and_unknown_target_lists_the_targets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--help"])
+    assert exc.value.code == 0
+    assert "usage: gk oracle" in capsys.readouterr().out
+    # A4, A05 and A11 look like alternating targets but are not registered
+    for name in ("nosuch", "A4", "A05", "A11"):
+        assert main(["oracle", name]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown oracle target '{name}'" in err
+        named = err.split("(known: ")[1].rstrip(")\n").split(", ")
+        assert named == list(ORACLE_TARGETS)
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from gkod.cli import main
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    loaded[" ".join(argv)] = [status, sorted(m for m in sys.modules
+                                             if m.split(".")[0] == "numpy")]
+print(json.dumps(loaded))
+"""
+
+
+def _modules_after(argvs):
+    """Exit status and loaded numpy modules after each of argvs, run in
+    order by main() in one fresh interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_commands_other_than_oracle_start_without_numpy():
+    loaded = _modules_after([
+        ["table1"], ["spectrum", "U3", "27"], ["graph", "S4", "31", "--json"],
+        ["enumerate", "--max-prime", "37"], ["verify", "G2", "11", "--json"]])
+    assert loaded == {cmd: [0, []] for cmd in loaded}
+
+
+def test_oracle_runs_without_numpy_ma():
+    """np.unique imports numpy.ma on its first call, 14 ms in a fresh
+    process; the oracle does without it."""
+    loaded = _modules_after([["oracle", "SL2_5"], ["oracle", "A6"]])
+    for status, modules in loaded.values():
+        assert status == 0 and "numpy" in modules
+        assert "numpy.ma" not in modules
 
 
 def test_gk_seed_env(monkeypatch, capsys):

@@ -17,7 +17,10 @@ from oracle_ref import (
     least_coset_keys,
     mat_mul,
     matrix_power,
+    omega_alternating,
     polynomial_field,
+    prime_support,
+    row_table_batch_mul,
     scalar_closure,
     scalars_in,
 )
@@ -29,9 +32,11 @@ from gkod.oracle import (
     MAX_CLOSURE,
     ORACLE_TARGETS,
     MatrixGroup,
+    _MATRIX_TARGETS,
     _bits_for,
     _even_mask,
     _pack,
+    _row_table,
     alternating_orders_bruteforce,
     alternating_spectrum_bruteforce,
     closure,
@@ -53,7 +58,6 @@ from gkod.spectra import (
     mu_S4,
     mu_U3,
     mu_alternating,
-    omega_alternating,
 )
 
 
@@ -320,6 +324,29 @@ def test_row_table_closure_matches_scalar_bfs(name):
     assert np.array_equal(grp.elements, want)
 
 
+# field (p, k) and dimension n of every registered matrix target
+_TARGET_SHAPES = {
+    "SL2_4": (2, 2, 2), "SL2_5": (5, 1, 2), "SL2_7": (7, 1, 2),
+    "SL2_9": (3, 2, 2), "SL2_13": (13, 1, 2), "SL2_37": (37, 1, 2),
+    "SU3_3": (3, 2, 3), "SU3_5": (5, 2, 3), "SU4_3": (3, 2, 4),
+    "SP4_5": (5, 1, 4),
+}
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
+def test_row_table_matches_batch_mul(name, transpose):
+    p, k, n = _TARGET_SHAPES[name]
+    F = make_field(p, k)
+    bits = _bits_for(F)
+    rng = random.Random(name)
+    for _ in range(3):
+        h = tuple(tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n))
+        got = _row_table(F, n, bits, h, transpose)
+        want = row_table_batch_mul(F, n, bits, h, transpose)
+        assert got.dtype == want.dtype and np.array_equal(got, want), h
+
+
 @pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
 def test_form_center_matches_reference_scalars(name):
     grp, full = _reference(name)
@@ -372,7 +399,6 @@ def test_conjugate_outside_elements_is_form_violation():
 def test_spectrum_mod_center_support():
     """Divisor-closure support of the oracle spectrum equals the primes of
     the central quotient's order."""
-    from gkod.arith import prime_support
     grp = sl2_group(9)
     mu = spectrum_mod_center(grp)
     sup = set()

@@ -30,3 +30,44 @@ def test_no_raise_assertion_error(path):
              if isinstance(node, ast.Raise) and node.exc is not None
              and _raises_assertion_error(node)]
     assert not lines, f"{path.name}: raise AssertionError at line(s) {lines}"
+
+
+def _imported_modules(nodes):
+    """Absolute or relative module names that the import statements among
+    nodes bring in; `from M import x` counts as both `M` and `M.x`, since
+    x may be a submodule."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            sep = "" if base.endswith(".") else "."
+            yield from (base + sep + alias.name for alias in node.names)
+
+
+def _module_level(tree):
+    """Every node that runs at import: all but the bodies of functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_oracle_imports_numpy(path):
+    """Every gk command but `gk oracle` starts without numpy."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy = [m for m in _imported_modules(ast.walk(tree))
+             if m.split(".")[0] == "numpy"]
+    assert path.name == "oracle.py" or not numpy, f"{path.name} imports {numpy}"
+
+
+def test_cli_imports_the_oracle_only_when_a_command_runs():
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    oracle = [m for m in _imported_modules(_module_level(tree))
+              if m in (".oracle", "gkod.oracle")]
+    assert not oracle, f"cli.py imports the oracle at module level: {oracle}"

@@ -1,9 +1,13 @@
 import time
 
 import pytest
-from oracle_ref import partition_orders_alternating
+from oracle_ref import (
+    omega_alternating,
+    partition_orders_alternating,
+    prime_support,
+)
 
-from gkod.arith import maximal_under_divisibility, prime_support
+from gkod.arith import maximal_under_divisibility
 from gkod.catalog import order_of, parse_label, s37_reference
 from gkod.spectra import (
     Spectrum,
@@ -15,7 +19,6 @@ from gkod.spectra import (
     mu_U3,
     mu_U4,
     mu_alternating,
-    omega_alternating,
     spectrum_of,
 )
 
