@@ -17,8 +17,10 @@ MAX_PRIME_BOUND = 10_000
 # primes per trial-division block of factorize
 _BLOCK = 24
 
-# deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes, exact for n below
+# psi_13 = 3317044064679887385961981 (about 3.3 * 10^24); the first 12 are
+# exact only below psi_12 = 318665857834031151167461, a composite they pass
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=64)
@@ -35,8 +37,9 @@ def primes_upto(bound: int) -> tuple:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24 (Miller-Rabin with a
-    fixed witness set; trial division would do but this stays fast)."""
+    """Primality by Miller-Rabin to the 13 prime bases 2..41: exact for
+    n < psi_13 (about 3.3e24); above that bound the answer is that of a
+    13-base strong probable-prime test."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -90,7 +93,7 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(q: int):
     """Return (p, k) with q = p**k, or None if q is not a prime power.
 
-    A small prime p dividing q is split off directly: one up to 37, or,
+    A small prime p dividing q is split off directly: one up to 41, or,
     for q above 64 bits, one up to MAX_PRIME_BOUND.  Otherwise every prime
     factor exceeds the largest trial prime t, so q = r**k forces
     2**(bitlen(t) - 1) < r and k <= bits / (bitlen(t) - 1).  Only prime
@@ -117,6 +120,19 @@ def prime_power(q: int):
             root = prime_power(r)
             return None if root is None else (root[0], root[1] * k)
     return (q, 1) if is_prime(q) else None
+
+
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass cls holding the given fields,
+    without running __post_init__.  For values a gkod routine has just
+    built to the class invariants; outside data goes through cls(...),
+    which checks them."""
+    obj = object.__new__(cls)
+    # as the dataclass __init__ does; writing obj.__dict__ would give every
+    # instance a dict of its own, about 90 bytes more
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -174,7 +190,8 @@ class Factorization:
     def restrict(self, primes) -> "Factorization":
         """Sub-factorization supported on the given primes (residual 1)."""
         keep = set(primes)
-        return Factorization(tuple((p, e) for p, e in self.factors if p in keep))
+        return trusted(Factorization, residual=1,
+                       factors=tuple(pe for pe in self.factors if pe[0] in keep))
 
     def __mul__(self, other: "Factorization") -> "Factorization":
         exps = dict(self.factors)
@@ -253,7 +270,7 @@ def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Factorization:
                     n //= p
                     e += 1
                 pairs.append((p, e))
-    return Factorization(tuple(pairs), n)
+    return trusted(Factorization, factors=tuple(pairs), residual=n)
 
 
 @lru_cache(maxsize=64)

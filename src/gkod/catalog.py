@@ -15,7 +15,7 @@ p <= CHARACTERISTIC_BOUND.
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib.resources import files
 from itertools import count
 from math import factorial, gcd, prod
@@ -195,15 +195,15 @@ def canonicalize(g: GroupId) -> GroupId:
 # ---------------------------------------------------------------------------
 # orders
 
-def _order_terms(g: GroupId):
-    """(prefix, terms, d) with |g| = prefix * product(terms) / d.
+def _order_terms(fam: str, n, q: int):
+    """(prefix, terms, d) with |G| = prefix * product(terms) / d for the
+    Lie-type group G of family fam, dimension n (None for the exceptional
+    families) and field size q.
 
     Term lists are arranged so that within one family and fixed q, every
     term of dimension n divides some term at each larger dimension; the
     enumerator exploits this to prune whole dimension ranges.
     """
-    q, n = g.q, g.n
-    fam = g.family
     if fam == "L":
         return q ** (n * (n - 1) // 2), [q**i - 1 for i in range(2, n + 1)], gcd(n, q - 1)
     if fam == "U":
@@ -257,7 +257,7 @@ def order_value(g: GroupId) -> int:
         return factorial(g.n) // 2
     if g.family == "Spor":
         return sporadic_order(g.name).value()
-    prefix, terms, d = _order_terms(g)
+    prefix, terms, d = _order_terms(g.family, g.n, g.q)
     return prod(terms, start=prefix) // d
 
 
@@ -335,22 +335,26 @@ def enumerate_S_p(p: int) -> list:
         if o % p == 0 and is_smooth(o, p):
             found.add(GroupId("Spor", name=name))
 
+    # terms such as q^2 - 1 recur across families and ranks
+    smooth = cache(lambda t: is_smooth(t, p))
     for r in primes_upto(min(p, CHARACTERISTIC_BOUND)):
         for f in _field_exponents(r, plist):
             q = r**f
             # every family's order has a term divisible by q - 1
-            if not is_smooth(q - 1, p):
+            if not smooth(q - 1):
                 continue
             for family in FAMILIES[1:-1]:  # the 16 Lie families
                 dims = count(*_DIMENSIONS[family]) if family in _DIMENSIONS else (None,)
                 for n in dims:
-                    g = GroupId(family, n=n, q=q)
-                    if not _valid_quiet(g):
+                    prefix, terms, d = _order_terms(family, n, q)
+                    if not all(map(smooth, terms)):
+                        # the non-smooth term recurs at every larger n, so
+                        # stop here even if (family, n, q) is not simple
+                        break
+                    if prod(terms, start=prefix) // d % p:
                         continue
-                    prefix, terms, d = _order_terms(g)
-                    if not all(is_smooth(t, p) for t in terms):
-                        break  # every larger n repeats a non-smooth divisor
-                    if prod(terms, start=prefix) // d % p == 0:
+                    g = GroupId(family, n=n, q=q)
+                    if _valid_quiet(g):
                         found.add(canonicalize(g))
     return sorted(found, key=GroupId.sort_key)
 

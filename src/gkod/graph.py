@@ -6,15 +6,18 @@ A graph is built from a complete order factorization plus a spectrum
 antichain mu.  Every member's primes come from dividing it by the order's
 primes, and p ~ q iff p and q both divide one member; an edge of the full
 divisor closure lies in some member of mu, so omega is never
-materialized.  A graph keeps one bitmask adjacency, from which the
-degrees, components and independent sets are read.
+materialized.  A graph is one bitmask adjacency: build_gk ORs each
+member's prime bitset into the masks, the edge tuple is read off them,
+and the degrees, components and independent sets come from them too.
+PrimeGraph(vertices, edges) and PrimeGraph.from_edges are the checked
+entry for outside data; the graphs gkod builds skip those checks.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, prime_factors
+from .arith import Factorization, prime_factors, trusted
 
 
 class CauchyConsistencyError(ValueError):
@@ -28,7 +31,12 @@ class CauchyConsistencyError(ValueError):
 @dataclass(frozen=True)
 class PrimeGraph:
     """Vertices are primes in increasing order; edges are sorted (p, q)
-    pairs with p < q.  Immutable and hashable once built."""
+    pairs with p < q.  Immutable and hashable once built.
+
+    The constructor checks that order and that every edge joins two
+    vertices; gkod's own builders go through _from_masks, which takes the
+    bitmask adjacency and reads the edges off it.
+    """
 
     vertices: tuple
     edges: tuple
@@ -49,6 +57,20 @@ class PrimeGraph:
     def from_edges(cls, vertices, edges) -> "PrimeGraph":
         norm = sorted(set(tuple(sorted(e)) for e in edges))
         return cls(tuple(sorted(set(vertices))), tuple(norm))
+
+    @classmethod
+    def _from_masks(cls, vertices: tuple, masks: tuple) -> "PrimeGraph":
+        """The graph on ascending vertices whose bit j of masks[i] is set
+        iff vertices[i] ~ vertices[j] (symmetric, no loops); edges come
+        out ascending in (i, j), as sorting the edge set would give."""
+        edges = []
+        for i, m in enumerate(masks):
+            higher = m >> i + 1 << i + 1
+            while higher:
+                low = higher & -higher
+                edges.append((vertices[i], vertices[low.bit_length() - 1]))
+                higher ^= low
+        return trusted(cls, vertices=vertices, edges=tuple(edges), masks=masks)
 
     @cached_property
     def masks(self) -> tuple:
@@ -142,38 +164,48 @@ def build_gk(order: Factorization, mu) -> PrimeGraph:
     of mu.  The spectrum's support must equal the order's support (every
     prime of |G| occurs as an element order, and orders divide |G|).
 
-    Each member is divided by the order's primes.  A cofactor above 1 is
-    made of primes outside the order; only then is it factored, to name the
-    least such prime over all members."""
+    Each member is divided by the order's primes, and the bitset of the
+    primes it holds is ORed into the mask of each of them.  A cofactor
+    above 1 is made of primes outside the order; only then is it factored,
+    to name the least such prime over all members."""
     vertices = order.primes()
     if not order.is_complete:
         raise ValueError("order factorization must be complete")
-    edges, support, cofactors = set(), set(), []
+    masks = [0] * len(vertices)
+    support, cofactors = 0, []
     for m in mu:
         if m < 1:
             raise ValueError(f"spectrum members must be >= 1, got {m}")
-        ps = []
-        for p in vertices:
+        bits = 0
+        for i, p in enumerate(vertices):
             if m % p == 0:
-                ps.append(p)
+                bits |= 1 << i
                 m //= p
                 while m % p == 0:
                     m //= p
         if m > 1:
             cofactors.append(m)
-        support.update(ps)
-        edges.update(itertools.combinations(ps, 2))
+        support |= bits
+        rest = bits
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= bits ^ low
+            rest ^= low
     if cofactors:
         raise CauchyConsistencyError(min(prime_factors(m)[0] for m in cofactors),
                                      "divides the spectrum but not the order")
-    missing = [p for p in vertices if p not in support]
-    if missing:
-        raise CauchyConsistencyError(missing[0], "divides the order but no element order")
-    return PrimeGraph(vertices, tuple(sorted(edges)))
+    if support != (1 << len(vertices)) - 1:
+        missing = (~support & support + 1).bit_length() - 1
+        raise CauchyConsistencyError(vertices[missing],
+                                     "divides the order but no element order")
+    return PrimeGraph._from_masks(vertices, tuple(masks))
 
 
 def degree_pattern(g: PrimeGraph) -> DegreePattern:
-    return DegreePattern(g.vertices, tuple(m.bit_count() for m in g.masks))
+    """Degrees of g's vertices; a PrimeGraph already meets the handshake
+    and range checks that DegreePattern(...) makes."""
+    return trusted(DegreePattern, primes=g.vertices,
+                   degrees=tuple(m.bit_count() for m in g.masks))
 
 
 def components(g: PrimeGraph, order: Factorization) -> OrderComponents:

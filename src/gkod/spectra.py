@@ -16,6 +16,7 @@ from .arith import (
     maximal_under_divisibility,
     prime_power,
     primes_upto,
+    trusted,
 )
 from .catalog import GroupId, validate_group
 
@@ -51,7 +52,10 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values, source: str) -> "Spectrum":
-        return cls(tuple(maximal_under_divisibility(values)), source)
+        """The antichain of maximal values, computed once (the constructor
+        would recompute it to check it)."""
+        return trusted(cls, mu=tuple(maximal_under_divisibility(values)),
+                       source=source)
 
     def omega(self) -> list:
         return divisor_closure(self.mu)
@@ -176,7 +180,7 @@ def mu_alternating(n: int) -> Spectrum:
         extend(0, two, two + 2)
         two *= 2
     mu = sorted(m for m in omega if all(m * p not in omega for p in primes))
-    return Spectrum(tuple(mu), SOURCE_PARTITION)
+    return trusted(Spectrum, mu=tuple(mu), source=SOURCE_PARTITION)
 
 
 def spectrum_of(g: GroupId) -> Spectrum:

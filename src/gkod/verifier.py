@@ -58,60 +58,52 @@ class GraphFamily:
 
 
 def enumerate_with_pattern(primes, pattern) -> GraphFamily:
-    """Every labeled graph with exactly the requested degree sequence.
+    """Every labeled graph on the ascending primes with exactly the
+    requested degree sequence.
 
-    Backtracking assigns the full neighborhood of one unfinished vertex at
-    a time (vertices ordered by descending requested degree, neighbors
-    chosen in ascending prime order), which yields each graph exactly once
-    in a deterministic order.
+    Backtracking over a bitmask adjacency assigns the full neighborhood of
+    one unfinished vertex at a time (vertices ordered by descending
+    requested degree, then ascending prime; neighbors chosen in ascending
+    prime order), which yields each graph exactly once in a deterministic
+    order.  Each graph is built from its masks.
     """
     primes = tuple(primes)
     pattern = tuple(int(d) for d in pattern)
     if len(primes) != len(pattern) or len(primes) > MAX_PATTERN_VERTICES:
         raise ValueError("need matching prime/degree lists of length <= 10")
+    if list(primes) != sorted(set(primes)):
+        raise ValueError("primes must be strictly increasing")
     k = len(primes)
     if sum(pattern) % 2 or any(not 0 <= d <= k - 1 for d in pattern):
         return GraphFamily(primes, pattern, (), False)
 
-    order = sorted(range(k), key=lambda i: (-pattern[i], primes[i]))
+    order = sorted(range(k), key=lambda i: -pattern[i])  # stable: ties by prime
     remaining = list(pattern)
-    adj = [set() for _ in range(k)]
-    edges = []
+    masks = [0] * k
     out = []
 
-    def next_vertex():
-        for i in order:
-            if remaining[i]:
-                return i
-        return None
-
     def rec():
-        v = next_vertex()
+        v = next((i for i in order if remaining[i]), None)
         if v is None:
-            g = PrimeGraph(primes, tuple(sorted(
-                tuple(sorted((primes[a], primes[b]))) for a, b in edges)))
-            out.append(g)
+            out.append(PrimeGraph._from_masks(primes, tuple(masks)))
             return
         need = remaining[v]
         cands = [w for w in range(k)
-                 if w != v and remaining[w] and w not in adj[v]]
+                 if w != v and remaining[w] and not masks[v] >> w & 1]
         if len(cands) < need:
             return
-        cands.sort(key=lambda w: primes[w])
+        remaining[v] = 0
         for chosen in itertools.combinations(cands, need):
-            remaining[v] = 0
             for w in chosen:
                 remaining[w] -= 1
-                adj[v].add(w)
-                adj[w].add(v)
-                edges.append((v, w))
+                masks[w] |= 1 << v
+                masks[v] |= 1 << w
             rec()
             for w in chosen:
                 remaining[w] += 1
-                adj[v].discard(w)
-                adj[w].discard(v)
-                edges.pop()
-            remaining[v] = need
+                masks[w] ^= 1 << v
+                masks[v] ^= 1 << w
+        remaining[v] = need
 
     rec()
     return GraphFamily(primes, pattern, tuple(out), True)

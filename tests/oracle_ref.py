@@ -16,7 +16,7 @@ replaced, and the per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
 over partitions, kept here as partition_orders_alternating.
 
-The rest are the routines replaced in arith, catalog and graph:
+The rest are the routines replaced in arith, catalog, graph and verifier:
 prime_power by trial division over a sieve, the quadratic antichain filter,
 enumerate_S_p over plain bounds with no q - 1 gate and no search space
 from Zsigmondy's theorem, and the lexicographically least
@@ -24,10 +24,12 @@ witness by a scan over vertex combinations.  factorize and the prime graph
 had a plain trial division over every prime, a graph build that factors
 each member of mu on its own and tests pq against every member, and
 neighbour sets with a depth-first component search in place of the one
-bitmask adjacency.  Last come degree classes and the mu-versus-closure
-graph equivalence, facts that only the tests check.  prime_support
-(with NonSmoothError) and omega_alternating are helpers that only the
-tests use.
+bitmask adjacency.  build_gk and enumerate_with_pattern built each graph
+from an edge set, sorted and checked by the PrimeGraph constructor, before
+the masks were derived from it.  Last come degree classes and the
+mu-versus-closure graph equivalence, facts that only the tests check.
+prime_support (with NonSmoothError) and omega_alternating are helpers
+that only the tests use.
 """
 
 import itertools
@@ -60,6 +62,7 @@ from gkod.graph import (
 )
 from gkod.oracle import _batch_mul, _bits_for, _even_mask, _pack, mat_det
 from gkod.spectra import mu_alternating
+from gkod.verifier import MAX_PATTERN_VERTICES, GraphFamily
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +486,7 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
             found.add(GroupId("Spor", name=name))
 
     def order_if_smooth(g):
-        prefix, terms, d = _order_terms(g)
+        prefix, terms, d = _order_terms(g.family, g.n, g.q)
         if not all(factorize(t, p).is_complete for t in terms):
             return None
         o = prefix
@@ -557,6 +560,90 @@ def build_gk_pq(order, mu):
     edges = [(p, q) for p, q in itertools.combinations(vertices, 2)
              if any(m % (p * q) == 0 for m in mu_vals)]
     return PrimeGraph(vertices, tuple(edges))
+
+
+def build_gk_edge_set(order, mu):
+    """graph.build_gk through an edge set of prime pairs, sorted and checked
+    by the PrimeGraph constructor, with the masks derived from the edges."""
+    vertices = order.primes()
+    if not order.is_complete:
+        raise ValueError("order factorization must be complete")
+    edges, support, cofactors = set(), set(), []
+    for m in mu:
+        if m < 1:
+            raise ValueError(f"spectrum members must be >= 1, got {m}")
+        ps = []
+        for p in vertices:
+            if m % p == 0:
+                ps.append(p)
+                m //= p
+                while m % p == 0:
+                    m //= p
+        if m > 1:
+            cofactors.append(m)
+        support.update(ps)
+        edges.update(itertools.combinations(ps, 2))
+    if cofactors:
+        raise CauchyConsistencyError(min(prime_factors(m)[0] for m in cofactors),
+                                     "divides the spectrum but not the order")
+    missing = [p for p in vertices if p not in support]
+    if missing:
+        raise CauchyConsistencyError(missing[0], "divides the order but no element order")
+    return PrimeGraph(vertices, tuple(sorted(edges)))
+
+
+def enumerate_with_pattern_sets(primes, pattern):
+    """verifier.enumerate_with_pattern over neighbour sets and an edge list,
+    each graph sorted and checked by the PrimeGraph constructor."""
+    primes = tuple(primes)
+    pattern = tuple(int(d) for d in pattern)
+    if len(primes) != len(pattern) or len(primes) > MAX_PATTERN_VERTICES:
+        raise ValueError("need matching prime/degree lists of length <= 10")
+    k = len(primes)
+    if sum(pattern) % 2 or any(not 0 <= d <= k - 1 for d in pattern):
+        return GraphFamily(primes, pattern, (), False)
+
+    order = sorted(range(k), key=lambda i: (-pattern[i], primes[i]))
+    remaining = list(pattern)
+    adj = [set() for _ in range(k)]
+    edges = []
+    out = []
+
+    def next_vertex():
+        for i in order:
+            if remaining[i]:
+                return i
+        return None
+
+    def rec():
+        v = next_vertex()
+        if v is None:
+            out.append(PrimeGraph(primes, tuple(sorted(
+                tuple(sorted((primes[a], primes[b]))) for a, b in edges))))
+            return
+        need = remaining[v]
+        cands = [w for w in range(k)
+                 if w != v and remaining[w] and w not in adj[v]]
+        if len(cands) < need:
+            return
+        cands.sort(key=lambda w: primes[w])
+        for chosen in itertools.combinations(cands, need):
+            remaining[v] = 0
+            for w in chosen:
+                remaining[w] -= 1
+                adj[v].add(w)
+                adj[w].add(v)
+                edges.append((v, w))
+            rec()
+            for w in chosen:
+                remaining[w] += 1
+                adj[v].discard(w)
+                adj[w].discard(v)
+                edges.pop()
+            remaining[v] = need
+
+    rec()
+    return GraphFamily(primes, pattern, tuple(out), True)
 
 
 def adjacency(g):

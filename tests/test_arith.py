@@ -109,6 +109,30 @@ def test_factorization_restrict():
     f = parse_factorization("2^12·3^2·5^2·13·31^4·37")
     assert str(f.restrict((13, 37))) == "13·37"
     assert f.restrict(()).value() == 1
+    part = f.restrict((2, 31, 41))
+    assert part == Factorization(part.factors) == Factorization(((2, 12), (31, 4)))
+
+
+@pytest.mark.parametrize("factors,residual", [
+    (((3, 1), (2, 1)), 1),   # primes not ascending
+    (((2, 1), (2, 3)), 1),   # repeated prime
+    (((2, 1), (3, 0)), 1),   # zero exponent
+    (((2, 1),), 0),          # residual below 1
+])
+def test_factorization_constructor_checks(factors, residual):
+    with pytest.raises(ValueError):
+        Factorization(factors, residual)
+
+
+# psi_12: the least strong pseudoprime to the first 12 prime bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_psi_12():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(PSI_12)
+    assert prime_power(PSI_12) is None
 
 
 def test_prime_helpers():

@@ -89,6 +89,13 @@ def test_spectrum_field_size_above_old_sieve_bound(capsys):
     assert "{100003, 5000300004, 5000300005}" in capsys.readouterr().out
 
 
+def test_spectrum_field_size_psi_12_is_not_a_prime_power(capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes a
+    # Miller-Rabin test to the 12 prime bases 2..37
+    assert main(["spectrum", "L2", "318665857834031151167461"]) == 1
+    assert "not a prime power" in capsys.readouterr().err
+
+
 def test_spectrum_not_implemented_is_domain_error(capsys):
     assert main(["spectrum", "2G2", "27"]) == 1
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 from oracle_ref import (
     adjacency,
     bitmasks,
+    build_gk_edge_set,
     build_gk_pq,
     connected_components_dfs,
     degree_classes,
@@ -44,7 +45,7 @@ from gkod.graph import (
     suzuki_decomposition,
     to_dot,
 )
-from gkod.spectra import UnsupportedParameterError, spectrum_of
+from gkod.spectra import UnsupportedParameterError, mu_alternating, spectrum_of
 
 # frozen from the published figure of the four prime graphs
 FIG_EDGES = {
@@ -109,6 +110,37 @@ def test_degree_pattern_validation():
         DegreePattern((2, 3), (1, 0))  # handshake violated
     with pytest.raises(ValueError):
         DegreePattern((2, 3), (2, 2))  # degree above k-1
+    with pytest.raises(ValueError):
+        DegreePattern((2, 3, 5), (1, 1, 1))  # odd degree sum
+    with pytest.raises(ValueError):
+        DegreePattern((2, 3, 5), (3, 1, -2))  # even sum, degrees out of range
+
+
+@pytest.mark.parametrize("vertices,edges", [
+    ((3, 2, 5), ((2, 3),)),              # vertices not ascending
+    ((2, 3, 3), ((2, 3),)),              # repeated vertex
+    ((2, 3, 5), ((2, 7),)),              # edge to an unknown vertex
+    ((2, 3, 5), ((2, 3), (2, 3))),       # duplicate edge
+    ((2, 3, 5), ((3, 2),)),              # edge not normalized
+    ((2, 3, 5), ((3, 5), (2, 3))),       # edges not sorted
+])
+def test_prime_graph_constructor_checks(vertices, edges):
+    with pytest.raises(ValueError):
+        PrimeGraph(vertices, edges)
+
+
+def test_built_values_pass_the_public_checks():
+    """What build_gk, degree_pattern and components build without the
+    constructor checks would pass them."""
+    for label in sorted(FIG_EDGES) + ["A40", "A100"]:
+        g = parse_label(label)
+        order = order_of(g)
+        gk = build_gk(order, spectrum_of(g))
+        assert gk == PrimeGraph(gk.vertices, gk.edges)
+        dp = degree_pattern(gk)
+        assert dp == DegreePattern(dp.primes, dp.degrees)
+        for ps, m in components(gk, order).components:
+            assert m == Factorization(m.factors) == factorize(m.value(), 10**4)
 
 
 def test_components_s4_31():
@@ -403,6 +435,8 @@ def _cauchy_error(build, order, mu):
     ("2·3", [2 * 43**2, 3 * 41 * 47], 41),
     ("2·3·5", [6], 5),                  # a prime of the order is missing
     ("2·3·5·7", [6, 7], 5),
+    ("2·3·5·7", [6], 5),                # two primes missing: the least
+    ("2·3·5·7", [14], 3),
     ("2·3", [2, 3 * 41], 41),           # foreign before missing
     ("2·3·5", [2 * 41], 41),
 ])
@@ -410,4 +444,27 @@ def test_cauchy_error_matches_pq_build(order, mu, prime):
     order = parse_factorization(order)
     got = _cauchy_error(build_gk, order, mu)
     assert got == _cauchy_error(build_gk_pq, order, mu)
+    assert got == _cauchy_error(build_gk_edge_set, order, mu)
     assert got[0] == prime
+
+
+def _same_graph(a, b):
+    assert (a.vertices, a.edges, a.masks) == (b.vertices, b.edges, b.masks)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_mask_build_matches_edge_set_build():
+    """The mask-built graph equals the one built from a sorted, checked edge
+    set, masks and hash included, on every closed-form group with q < 6000
+    whose order factors below 10^4 and on A5..A100."""
+    checked = 0
+    for g, mu in _closed_form_groups(6000):
+        order = order_of(g)
+        if order.is_complete:
+            _same_graph(build_gk(order, mu), build_gk_edge_set(order, mu))
+            checked += 1
+    assert checked > 1900
+    for n in range(5, 101):
+        g = GroupId("A", n=n)
+        order, mu = order_of(g), mu_alternating(n)
+        _same_graph(build_gk(order, mu), build_gk_edge_set(order, mu))

@@ -71,3 +71,18 @@ def test_cli_imports_the_oracle_only_when_a_command_runs():
     oracle = [m for m in _imported_modules(_module_level(tree))
               if m in (".oracle", "gkod.oracle")]
     assert not oracle, f"cli.py imports the oracle at module level: {oracle}"
+
+
+def test_one_place_skips_the_constructor_checks():
+    """Only arith.trusted builds an instance past its class's checks (by
+    object.__new__ and object.__setattr__), so every other construction
+    in src/ goes through them."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute)
+                   and node.attr in ("__new__", "__setattr__", "__dict__")
+                   for node in ast.walk(top)):
+                sites.add((path.name, getattr(top, "name", top.lineno)))
+    assert sites == {("arith.py", "trusted")}, sites

@@ -116,6 +116,17 @@ def test_spectrum_type_enforces_antichain():
     assert Spectrum.from_values([4, 6, 9], "formula").mu == (4, 6, 9)
 
 
+def test_built_spectra_pass_the_public_check():
+    """from_values and mu_alternating skip the constructor's antichain
+    check; what they build passes it."""
+    for fn, q, expected in MU_CASES:
+        mu = fn(q)
+        assert mu == Spectrum(mu.mu, mu.source) == Spectrum(expected, mu.source)
+    for n in range(5, 81):  # the check is quadratic: 0.3 s at n = 100 alone
+        mu = mu_alternating(n)
+        assert mu == Spectrum(mu.mu, mu.source)
+
+
 def test_every_spectrum_is_antichain():
     for _, q, expected in MU_CASES:
         assert list(expected) == maximal_under_divisibility(expected)

@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 
 import pytest
+from oracle_ref import enumerate_with_pattern_sets
 
 from gkod.arith import parse_factorization
 from gkod.catalog import ScopeError, enumerate_S_p, order_of, parse_label
@@ -111,6 +113,54 @@ def test_infeasible_patterns_flagged():
     assert not odd.feasible and len(odd) == 0
     toobig = enumerate_with_pattern((2, 3), (2, 2))
     assert not toobig.feasible
+
+
+def _same_family(primes, pattern):
+    fam = enumerate_with_pattern(primes, pattern)
+    ref = enumerate_with_pattern_sets(primes, pattern)
+    assert (fam.primes, fam.pattern, fam.feasible) == (ref.primes, ref.pattern, ref.feasible)
+    assert [(g.edges, g.masks) for g in fam.graphs] == [(g.edges, g.masks) for g in ref.graphs]
+    return fam
+
+
+@pytest.mark.parametrize("label,primes,pattern,size", TABLE1_FAMILIES)
+def test_mask_enumeration_matches_set_enumeration_on_table1(label, primes, pattern, size):
+    assert len(_same_family(primes, pattern)) == size
+
+
+def test_mask_enumeration_matches_set_enumeration_on_random_sequences():
+    """Same graphs in the same order as the neighbour-set backtracking.
+    Degree sequences of random sparse graphs on up to 10 vertices (at
+    most 6 edges, so no family is huge), plus unconstrained sequences on
+    up to 6 vertices, odd sums and degrees out of range among them."""
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    sizes = {"feasible": 0, "empty": 0, "infeasible": 0}
+    for _ in range(200):
+        k = rng.randint(1, 10)
+        deg = [0] * k
+        pairs = list(itertools.combinations(range(k), 2))
+        for a, b in rng.sample(pairs, min(len(pairs), rng.randint(0, 6))):
+            deg[a] += 1
+            deg[b] += 1
+        fam = _same_family(primes[:k], deg)
+        sizes["feasible"] += len(fam) > 0
+    for _ in range(600):
+        k = rng.randint(1, 6)
+        deg = [rng.randint(0, k - 1) for _ in range(k)]
+        if rng.random() < 0.2:
+            deg[rng.randrange(k)] = rng.choice((-1, k))
+        fam = _same_family(primes[:k], deg)
+        sizes["empty" if fam.feasible else "infeasible"] += not fam.graphs
+    assert sizes["feasible"] == 200
+    assert sizes["empty"] > 50 and sizes["infeasible"] > 200
+
+
+def test_enumeration_needs_ascending_primes():
+    with pytest.raises(ValueError):
+        enumerate_with_pattern((3, 2), (1, 1))
+    with pytest.raises(ValueError):
+        enumerate_with_pattern((2, 2), (1, 1))
 
 
 def test_enumeration_deterministic():
