@@ -435,10 +435,10 @@ def _cauchy_error(build, order, mu):
     ("2·3", [2 * 43**2, 3 * 41 * 47], 41),
     ("2·3·5", [6], 5),                  # a prime of the order is missing
     ("2·3·5·7", [6, 7], 5),
-    ("2·3·5·7", [6], 5),                # two primes missing: the least
-    ("2·3·5·7", [14], 3),
     ("2·3", [2, 3 * 41], 41),           # foreign before missing
     ("2·3·5", [2 * 41], 41),
+    ("2·3·5·7", [6], 5),                # two primes missing: the least
+    ("2·3·5·7", [14], 3),
 ])
 def test_cauchy_error_matches_pq_build(order, mu, prime):
     order = parse_factorization(order)
