@@ -10,7 +10,7 @@ this convention.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, log2, prod
+from math import gcd, isqrt, log2, prod
 
 DEFAULT_PRIME_BOUND = 37
 MAX_PRIME_BOUND = 10_000
@@ -19,8 +19,10 @@ _BLOCK = 24
 
 # Miller-Rabin witnesses: the first 13 primes, exact for n below
 # psi_13 = 3317044064679887385961981 (about 3.3 * 10^24); the first 12 are
-# exact only below psi_12 = 318665857834031151167461, a composite they pass
+# exact only below psi_12 = 318665857834031151167461, a composite they pass,
+# and psi_13 = 1287836182261 * 2575672364521 passes all 13
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)
@@ -37,9 +39,10 @@ def primes_upto(bound: int) -> tuple:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin to the 13 prime bases 2..41: exact for
-    n < psi_13 (about 3.3e24); above that bound the answer is that of a
-    13-base strong probable-prime test."""
+    """Primality by Miller-Rabin to the 13 prime bases 2..41, exact for
+    n < psi_13 (about 3.3e24).  From psi_13 on, a strong Lucas test
+    follows, which makes it the Baillie-PSW test: no composite is known
+    to pass it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -59,7 +62,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 2 with Selfridge's
+    parameters (method A): D the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.
+
+    With n + 1 = d 2^s, d odd, n passes if U_d = 0 or V_{d 2^r} = 0 mod n
+    for some 0 <= r < s.  U_d and V_d come from the top bit of d down by
+    U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k and, for a set bit,
+    U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2."""
+    if isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:  # D shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def next_prime_after(p: int) -> int:

@@ -14,11 +14,12 @@ is enumerated modulo its centre Z, the scalars of its form: each coset
 of Z is one key, the least of lam*x over Z, so the arrays hold |G|/|Z|
 keys.  Element orders modulo Z are class functions, so the scan labels
 the conjugacy classes of G/Z and powers one representative of each, all
-together, until it is central.  Memory peaks near 40 bytes per coset, in
-the class labelling: the largest registered targets, SU_4(3) (3.27e6
-cosets of 1.31e7 elements) and Sp_4(5) (4.68e6 of 9.36e6), peak near
-0.16 and 0.19 GB.  The permutation scan follows the points of a block of
-even permutations together, one gather per step.
+together, until it is central.  Memory peaks near 40 to 50 bytes per
+coset, in the closure; the conjugation maps and the class labelling stay
+below it.  The largest registered targets, SU_4(3) (3.27e6 cosets of
+1.31e7 elements) and Sp_4(5) (4.68e6 of 9.36e6), peak near 0.16 and
+0.18 GB.  The permutation scan walks the cycles of a block of even
+permutations together, one point of every row per step.
 
 Every matrix group here is the det-1 isometry group of a (Gram, sigma)
 form B(u, v) = u^T gram sigma(v), sigma(x) = x^e: SL_n has no form, SU_n
@@ -53,7 +54,7 @@ TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
 MAX_CLOSURE = 1 << 24     # covers SU_4(3), 13,063,680 elements
 MAX_RETRIES = 6
 _CHUNK = 1 << 20
-_PERM_CHUNK = 1 << 13     # rows per permutation pass; more leave the cache
+_PERM_CHUNK = 1 << 15     # rows per permutation pass
 
 
 class FormViolationError(RuntimeError):
@@ -484,25 +485,39 @@ def closure(generators, target_order: int, field: Field, dim: int,
 
 def _conjugation_map(group, g, scalars):
     """Index into group.elements of the coset of g^-1 x g, for every x;
-    scalars are the group's _center_tables."""
+    scalars are the group's _center_tables.
+
+    Conjugation permutes the cosets of Z, so sorting the conjugates must
+    give group.elements back; anything else raises FormViolationError.
+    The map is then the inverse of the sorting permutation.  Conjugates,
+    check and scatter go in _CHUNK pieces, the conjugates into one array
+    allocated up front, and they are freed before the map is allocated,
+    to keep the memory peak down."""
     F, n, el = group.field, group.dim, group.elements
     bits = _bits_for(F)
     # x -> (x g)^T, then y^T -> ((y^T) (g^-1)^T)^T = g^-1 y
     right = _row_table(F, n, bits, g, transpose=True)
     left = _row_table(F, n, bits, _inverse_transpose(F, g), transpose=True)
-    out = np.empty(el.size, dtype=np.int32)
-    for lo in range(0, el.size, _CHUNK):
-        conj = _apply(left, _apply(right, el[lo:lo + _CHUNK], n, bits, True),
-                      n, bits, True)
-        conj = _least_coset_key(scalars, conj, n, bits)
-        order = np.argsort(conj)  # sorted queries search far faster
-        conj = conj[order]
-        idx = np.minimum(np.searchsorted(el, conj), el.size - 1)
-        if not np.array_equal(el[idx], conj):
+
+    def conjugates(x):
+        y = _apply(left, _apply(right, x, n, bits, True), n, bits, True)
+        return _least_coset_key(scalars, y, n, bits)
+
+    pieces = range(0, el.size, _CHUNK)
+    conj = np.empty_like(el)
+    for lo in pieces:
+        conj[lo:lo + _CHUNK] = conjugates(el[lo:lo + _CHUNK])
+    order = np.argsort(conj)
+    for lo in pieces:
+        if not np.array_equal(conj[order[lo:lo + _CHUNK]], el[lo:lo + _CHUNK]):
             raise FormViolationError(
-                "a conjugate by a generator lies outside the enumerated "
+                "the conjugates by a generator are not the enumerated "
                 "elements")
-        out[lo + order] = idx
+    del conj
+    out = np.empty(el.size, dtype=np.int32)
+    for lo in pieces:
+        part = order[lo:lo + _CHUNK]
+        out[part] = np.arange(lo, lo + part.size, dtype=np.int32)
     return out
 
 
@@ -521,9 +536,10 @@ def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
     maps = [_conjugation_map(group, g, scalars) for g in group.generators]
     label = np.arange(group.elements.size, dtype=np.int32)
     while True:
-        prev = label
+        # minimum in place: three label-sized arrays alive at once, not four
+        prev = label.copy()
         for m in maps:
-            label = np.minimum(label, label[m])
+            np.minimum(label, label[m], out=label)
         label = label[label]
         if np.array_equal(label, prev):
             return label
@@ -590,47 +606,74 @@ def _lex_permutations(m: int) -> np.ndarray:
     return perms
 
 
-def _cycle_length_masks(perm: np.ndarray) -> np.ndarray:
-    """The distinct masks among the rows of perm, where bit t of a row's
-    mask is set iff that permutation has a cycle of length t.
+@lru_cache(maxsize=None)
+def _scan_tables(n: int):
+    """Two tables over the n-bit masks s: the least point not in s (n for
+    the full mask), and the mask of the cycle lengths of a walk whose cycles
+    close at the steps in s, bit t set iff one of them has length t."""
+    s = np.arange(1 << n)
+    least = np.full(s.size, n, dtype=np.uint8)
+    lengths = np.zeros(s.size, dtype=np.uint16)
+    prev = np.full(s.size, -1)
+    for t in reversed(range(n)):
+        least[(s >> t & 1) == 0] = t
+    for t in range(n):
+        closes = s >> t & 1
+        lengths |= (closes << (t - prev)).astype(np.uint16)
+        prev = np.where(closes, t, prev)
+    return least, lengths
 
-    Every point is followed, one gather per step, for up to n steps; its
-    first return to itself gives the length of its cycle.  The arrays are
-    point-major, so each step works on whole contiguous rows."""
+
+def _cycle_length_masks(perm: np.ndarray) -> np.ndarray:
+    """The distinct masks among the rows of perm, permutations of n < 16
+    points, where bit t of a row's mask is set iff that permutation has a
+    cycle of length t.
+
+    Each row walks its cycles one point per step, from point 0: it follows
+    the permutation until the next point is one already seen, which closes
+    the cycle, and then restarts at the least unseen point.  Every point is
+    visited once, so the steps at which cycles close give their lengths;
+    the last point visited closes the last cycle at step n - 1.  A row's
+    state is its point, its seen points and its closing steps, the last
+    two as bitmasks; each step is one gather from perm."""
     rows, n = perm.shape
-    start = np.arange(n * rows, dtype=np.intp).reshape(n, rows)
-    image = (perm.T.astype(np.intp) * rows + start[0]).ravel()
-    at = image.reshape(n, rows)
-    open_ = np.ones((n, rows), dtype=bool)
-    masks = np.zeros(rows, dtype=np.uint16)
-    for t in range(1, n + 1):
-        back = (at == start) & open_
-        open_ ^= back
-        masks |= back.any(axis=0).astype(np.uint16) << t
-        if t < n:
-            at = image.take(at)
-    return np.flatnonzero(np.bincount(masks))
+    least, lengths = _scan_tables(n)
+    flat = perm.ravel()
+    base = np.arange(0, rows * n, n)
+    point = np.zeros(rows, dtype=np.uint8)
+    seen = np.zeros(rows, dtype=np.uint16)
+    closes = np.full(rows, 1 << (n - 1), dtype=np.uint16)
+    for t in range(n - 1):
+        seen |= np.left_shift(1, point, dtype=np.uint16)
+        point = flat.take(base + point)
+        closed = seen >> point & 1
+        closes |= closed << t
+        point = np.where(closed, least.take(seen), point)
+    return np.flatnonzero(np.bincount(lengths.take(closes)))
 
 
 def alternating_orders_bruteforce(n: int) -> list:
     """All element orders of the alternating group of degree n (5..10).
 
     For each first entry k, the block of lexicographic permutations that
-    start with k is built as an array and its even rows are selected by
-    the parity mask; every even permutation's cycles are measured, in
-    chunks of _PERM_CHUNK rows, and its order is the lcm of its cycle
+    start with k continues with the permutations of the other points.
+    Fixing k adds k inversions, so its even rows continue with the even
+    permutations of n - 1 points for even k and the odd ones for odd k,
+    each relabelled past k.  Every even permutation's cycles are walked,
+    in chunks of _PERM_CHUNK rows, and its order is the lcm of its cycle
     lengths.  Independent of the prime-power criterion in
     spectra.mu_alternating."""
     if not 5 <= n <= 10:
         raise ValueError("permutation scan supports 5 <= n <= 10")
     tail = _lex_permutations(n - 1)
-    even = np.frombuffer(_even_mask(n), dtype=bool).reshape(n, -1)
-    points = np.arange(n, dtype=np.uint8)
+    even = np.frombuffer(_even_mask(n - 1), dtype=bool)
+    tails = (tail[even], tail[~even])
     masks = set()
     for k in range(n):
-        rest = tail[even[k]]
-        block = np.column_stack((np.full(len(rest), k, dtype=np.uint8),
-                                 np.delete(points, k)[rest]))
+        rest = tails[k % 2]
+        block = np.empty((len(rest), n), dtype=np.uint8)
+        block[:, 0] = k
+        np.add(rest, rest >= k, out=block[:, 1:], casting="unsafe")
         for lo in range(0, len(block), _PERM_CHUNK):
             masks.update(_cycle_length_masks(block[lo:lo + _PERM_CHUNK]).tolist())
     return sorted({lcm(*(t for t in range(1, n + 1) if m >> t & 1))

@@ -12,12 +12,15 @@ linear group and its least coset keys, an exhaustive per-element order
 scan on it, row tables by one batch multiply of every row value,
 order-by-exponent arithmetic, the hand-coded unitary and
 symplectic form checks that the one (Gram, sigma) isometry check
-replaced, and the per-permutation cycle loop.
+replaced, the conjugation map by binary search, the permutation scan
+that follows every point with one gather per step, and the
+per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
 over partitions, kept here as partition_orders_alternating.
 
 The rest are the routines replaced in arith, catalog, graph and verifier:
-prime_power by trial division over a sieve, the quadratic antichain filter,
+prime_power by trial division over a sieve, is_prime by the 13-base
+Miller-Rabin test alone, the quadratic antichain filter,
 enumerate_S_p over plain bounds with no q - 1 gate and no search space
 from Zsigmondy's theorem, and the lexicographically least
 witness by a scan over vertex combinations.  factorize and the prime graph
@@ -60,7 +63,19 @@ from gkod.graph import (
     SuzukiDecomposition,
     build_gk,
 )
-from gkod.oracle import _batch_mul, _bits_for, _even_mask, _pack, mat_det
+from gkod.oracle import (
+    _CHUNK,
+    FormViolationError,
+    _apply,
+    _batch_mul,
+    _bits_for,
+    _even_mask,
+    _inverse_transpose,
+    _least_coset_key,
+    _pack,
+    _row_table,
+    mat_det,
+)
 from gkod.spectra import mu_alternating
 from gkod.verifier import MAX_PATTERN_VERTICES, GraphFamily
 
@@ -365,6 +380,67 @@ def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
     return o
 
 
+def conjugation_map_searchsorted(group, g, scalars):
+    """Index into group.elements of the coset of g^-1 x g, for every x, by
+    binary search: each _CHUNK piece of conjugates is sorted, looked up in
+    group.elements with searchsorted, and a key not found there raises
+    FormViolationError."""
+    F, n, el = group.field, group.dim, group.elements
+    bits = _bits_for(F)
+    right = _row_table(F, n, bits, g, transpose=True)
+    left = _row_table(F, n, bits, _inverse_transpose(F, g), transpose=True)
+    out = np.empty(el.size, dtype=np.int32)
+    for lo in range(0, el.size, _CHUNK):
+        conj = _apply(left, _apply(right, el[lo:lo + _CHUNK], n, bits, True),
+                      n, bits, True)
+        conj = _least_coset_key(scalars, conj, n, bits)
+        order = np.argsort(conj)  # sorted queries search far faster
+        conj = conj[order]
+        idx = np.minimum(np.searchsorted(el, conj), el.size - 1)
+        if not np.array_equal(el[idx], conj):
+            raise FormViolationError(
+                "a conjugate by a generator lies outside the enumerated "
+                "elements")
+        out[lo + order] = idx
+    return out
+
+
+def cycle_length_masks_gather(perm):
+    """The distinct cycle-length masks among the rows of perm (bit t set
+    iff the row has a cycle of length t), following every point at once:
+    one gather over all n points of every row per step, for up to n steps,
+    the first return of a point to itself giving its cycle's length."""
+    rows, n = perm.shape
+    start = np.arange(n * rows, dtype=np.intp).reshape(n, rows)
+    image = (perm.T.astype(np.intp) * rows + start[0]).ravel()
+    at = image.reshape(n, rows)
+    open_ = np.ones((n, rows), dtype=bool)
+    masks = np.zeros(rows, dtype=np.uint16)
+    for t in range(1, n + 1):
+        back = (at == start) & open_
+        open_ ^= back
+        masks |= back.any(axis=0).astype(np.uint16) << t
+        if t < n:
+            at = image.take(at)
+    return np.flatnonzero(np.bincount(masks))
+
+
+def cycle_length_mask_loop(perm):
+    """Cycle-length mask of one permutation (bit t set iff it has a cycle
+    of length t), split into cycles in Python."""
+    seen = [False] * len(perm)
+    mask = 0
+    for i in range(len(perm)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            mask |= 1 << length
+    return mask
+
+
 def alternating_orders_loop(n):
     """Element orders of the alternating group of degree n, one even
     permutation at a time: each lexicographic permutation the parity mask
@@ -373,18 +449,8 @@ def alternating_orders_loop(n):
     orders = set()
     for perm in itertools.compress(itertools.permutations(range(n)),
                                    _even_mask(n)):
-        seen = [False] * n
-        order = 1
-        for i in range(n):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                order = lcm(order, length)
-        orders.add(order)
+        mask = cycle_length_mask_loop(perm)
+        orders.add(lcm(*(t for t in range(1, n + 1) if mask >> t & 1)))
     return sorted(orders)
 
 
@@ -446,6 +512,32 @@ def prime_power_trial(q):
                 k += 1
             return (p, k) if m == 1 else None
     return (q, 1) if is_prime(q) else None
+
+
+def is_prime_mr13(n):
+    """Miller-Rabin to the 13 prime bases 2..41 alone: exact below psi_13,
+    a strong probable-prime test above it."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def maximal_under_divisibility_quadratic(values):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_ref import (
     NonSmoothError,
+    is_prime_mr13,
     maximal_under_divisibility_quadratic,
     prime_power_trial,
     prime_support,
@@ -14,6 +15,7 @@ from oracle_ref import (
 from gkod.arith import (
     Factorization,
     _iroot,
+    _strong_lucas_prp,
     divisor_closure,
     divisors,
     factorize,
@@ -133,6 +135,43 @@ def test_is_prime_rejects_psi_12():
     assert is_prime(399165290221) and is_prime(798330580441)
     assert not is_prime(PSI_12)
     assert prime_power(PSI_12) is None
+
+
+# psi_13: the least strong pseudoprime to the first 13 prime bases 2..41
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_13():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    assert is_prime_mr13(PSI_13)
+    assert not is_prime(PSI_13)
+    assert prime_power(PSI_13) is None
+
+
+def test_is_prime_mersenne_primes_above_psi_13():
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime(2**89 + 1) and not is_prime(2**127 - 3)
+
+
+def test_is_prime_matches_13_base_test_above_psi_13():
+    rng = random.Random(20261019)
+    primes = 0
+    for _ in range(3000):
+        n = rng.randrange(PSI_13, 1 << rng.randint(82, 400)) | 1
+        primes += is_prime(n)
+        assert is_prime(n) == is_prime_mr13(n), n
+    assert primes > 10
+
+
+def test_strong_lucas_pseudoprimes_below_30000():
+    """Every odd prime passes; the composites that pass are the strong
+    Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)."""
+    primes = set(primes_upto(30000))
+    passed = [n for n in range(3, 30000, 2)
+              if _strong_lucas_prp(n) and n not in primes]
+    assert passed == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas_prp(p) for p in primes if p > 2)
 
 
 def test_prime_helpers():

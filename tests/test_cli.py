@@ -96,6 +96,13 @@ def test_spectrum_field_size_psi_12_is_not_a_prime_power(capsys):
     assert "not a prime power" in capsys.readouterr().err
 
 
+def test_spectrum_field_size_psi_13_is_not_a_prime_power(capsys):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 passes a
+    # Miller-Rabin test to the 13 prime bases 2..41
+    assert main(["spectrum", "L2", "3317044064679887385961981"]) == 1
+    assert "not a prime power" in capsys.readouterr().err
+
+
 def test_spectrum_not_implemented_is_domain_error(capsys):
     assert main(["spectrum", "2G2", "27"]) == 1
     err = capsys.readouterr().err

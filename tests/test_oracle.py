@@ -8,6 +8,9 @@ import pytest
 import numpy as np
 from oracle_ref import (
     alternating_orders_loop,
+    conjugation_map_searchsorted,
+    cycle_length_mask_loop,
+    cycle_length_masks_gather,
     element_order_by_exponent,
     element_order_mod_center,
     exhaustive_orders_mod_center,
@@ -25,6 +28,7 @@ from oracle_ref import (
     scalars_in,
 )
 
+from gkod import oracle
 from gkod.arith import primes_upto
 from gkod.oracle import (
     DEFAULT_SEED,
@@ -34,7 +38,11 @@ from gkod.oracle import (
     MatrixGroup,
     _MATRIX_TARGETS,
     _bits_for,
+    _center_tables,
+    _conjugation_map,
+    _cycle_length_masks,
     _even_mask,
+    _least_coset_key,
     _pack,
     _row_table,
     alternating_orders_bruteforce,
@@ -396,6 +404,50 @@ def test_conjugate_outside_elements_is_form_violation():
         conjugacy_classes(broken)
 
 
+def test_conjugate_of_a_key_outside_the_group_is_form_violation():
+    # same size: one non-central key is swapped for the coset key of
+    # diag(2, 1), of determinant 2, whose conjugates are no elements either
+    grp = sl2_group(5)
+    bits = _bits_for(grp.field)
+    key, outside = _pack(np.array([((1, 1), (0, 1)), ((2, 0), (0, 1))],
+                                  dtype=np.uint16), bits)
+    outside = _least_coset_key(
+        _center_tables(grp.field, grp.dim, bits, grp.center_scalars),
+        np.array([outside]), grp.dim, bits)[0]
+    assert key in grp.elements and outside not in grp.elements
+    swapped = np.sort(np.where(grp.elements == key, outside, grp.elements))
+    broken = MatrixGroup(grp.field, grp.dim, grp.generators, swapped,
+                         grp.center_scalars)
+    assert swapped.size == grp.elements.size
+    with pytest.raises(FormViolationError):
+        conjugacy_classes(broken)
+
+
+# the matrix targets of the oracle-alt benchmark workload
+_BENCH_TARGETS = ["SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13", "SL2_37",
+                  "SU3_3", "SU3_5"]
+
+
+@pytest.mark.parametrize("chunk", [None, 4099])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+@pytest.mark.parametrize("name", _BENCH_TARGETS)
+def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
+    """Equal maps for every generator, and equal class labels; with a
+    chunk, the conjugates, the check and the scatter go in many pieces."""
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    grp = _MATRIX_TARGETS[name][0](seed=seed)
+    scalars = _center_tables(grp.field, grp.dim, _bits_for(grp.field),
+                             grp.center_scalars)
+    for g in grp.generators:
+        got = _conjugation_map(grp, g, scalars)
+        want = conjugation_map_searchsorted(grp, g, scalars)
+        assert got.dtype == want.dtype and np.array_equal(got, want), g
+    label = conjugacy_classes(grp)
+    monkeypatch.setattr(oracle, "_conjugation_map", conjugation_map_searchsorted)
+    assert np.array_equal(label, conjugacy_classes(grp))
+
+
 def test_spectrum_mod_center_support():
     """Divisor-closure support of the oracle spectrum equals the primes of
     the central quotient's order."""
@@ -424,6 +476,34 @@ def test_alternating_full_omega_equality(n):
 @pytest.mark.parametrize("n", range(5, 10))
 def test_permutation_scan_matches_loop(n):
     assert alternating_orders_bruteforce(n) == alternating_orders_loop(n)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_cycle_length_masks_match_gather_scan(n, monkeypatch):
+    """On every _PERM_CHUNK block the scan meets, the same masks as the
+    all-points gather scan it replaced."""
+    rows = []
+
+    def checked(perm):
+        got = _cycle_length_masks(perm)
+        assert np.array_equal(got, cycle_length_masks_gather(perm))
+        rows.append(len(perm))
+        return got
+
+    monkeypatch.setattr(oracle, "_cycle_length_masks", checked)
+    alternating_orders_bruteforce(n)
+    assert sum(rows) == factorial(n) // 2
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cycle_length_masks_match_loop_on_random_rows(n):
+    """Random permutations, odd ones included, with the identity and the
+    n-cycle; each row split into cycles in Python."""
+    rng = np.random.default_rng(20261019 + n)
+    perm = np.array([rng.permutation(n) for _ in range(3000)]
+                    + [np.arange(n), np.roll(np.arange(n), 1)], dtype=np.uint8)
+    want = sorted({cycle_length_mask_loop(row.tolist()) for row in perm})
+    assert _cycle_length_masks(perm).tolist() == want
 
 
 def test_alternating_a10_mu(oracle_runner):
