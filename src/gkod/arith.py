@@ -215,11 +215,6 @@ class Factorization:
         if self.residual < 1:
             raise ValueError("residual must be >= 1")
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Factorization":
-        pairs = tuple(sorted((int(p), int(e)) for p, e in pairs if e))
-        return cls(pairs)
-
     @property
     def is_complete(self) -> bool:
         return self.residual == 1

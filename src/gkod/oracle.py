@@ -14,12 +14,14 @@ is enumerated modulo its centre Z, the scalars of its form: each coset
 of Z is one key, the least of lam*x over Z, so the arrays hold |G|/|Z|
 keys.  Element orders modulo Z are class functions, so the scan labels
 the conjugacy classes of G/Z and powers one representative of each, all
-together, until it is central.  Memory peaks near 40 to 50 bytes per
-coset, in the closure; the conjugation maps and the class labelling stay
-below it.  The largest registered targets, SU_4(3) (3.27e6 cosets of
-1.31e7 elements) and Sp_4(5) (4.68e6 of 9.36e6), peak near 0.16 and
-0.18 GB.  The permutation scan walks the cycles of a block of even
-permutations together, one point of every row per step.
+together, until it is a scalar matrix (every scalar in G lies in Z).
+Memory peaks near 40 to 50 bytes per coset, in the closure; the
+conjugation maps and the class labelling stay below it.  The largest
+registered targets, SU_4(3) (3.27e6 cosets of 1.31e7 elements) and
+Sp_4(5) (4.68e6 of 9.36e6), peak near 0.16 and 0.18 GB.  The permutation
+scan builds the block of even permutations with first entry k from the
+even or odd (as k is) ones of the other points, and walks the cycles of
+all its rows together.
 
 Every matrix group here is the det-1 isometry group of a (Gram, sigma)
 form B(u, v) = u^T gram sigma(v), sigma(x) = x^e: SL_n has no form, SU_n
@@ -309,18 +311,6 @@ def _batch_mul(F, A, B):
         C = F.add_table[C, T[:, :, k, :]]
     return C
 
-def _member_mask(sorted_keys, keys):
-    idx = np.searchsorted(sorted_keys, keys)
-    idx_c = np.minimum(idx, sorted_keys.size - 1)
-    return (idx < sorted_keys.size) & (sorted_keys[idx_c] == keys)
-
-
-def _scalar_keys(F, dim, lams):
-    """Packed keys of lam * I for each lam, ascending with lam."""
-    M = np.zeros((len(lams), dim, dim), dtype=np.uint16)
-    M[:, range(dim), range(dim)] = np.asarray(lams, dtype=np.uint16)[:, None]
-    return _pack(M, _bits_for(F))
-
 
 def _row_table(F, n, bits, h, transpose=False):
     """Entry r is the packed row r*h, for every packed row value r; with
@@ -416,14 +406,6 @@ class MatrixGroup:
         """|G|, every coset counted with its |Z| elements."""
         return int(self.elements.size) * len(self.center_scalars)
 
-    def contains(self, M) -> bool:
-        bits = _bits_for(self.field)
-        key = _pack(np.array([M], dtype=np.uint16), bits)
-        key = _least_coset_key(_center_tables(self.field, self.dim, bits,
-                                              self.center_scalars),
-                               key, self.dim, bits)
-        return bool(_member_mask(self.elements, key)[0])
-
 
 def _close_once(F, dim, gens, target, center):
     """Sorted canonical keys of the cosets of the scalars center reached
@@ -433,8 +415,8 @@ def _close_once(F, dim, gens, target, center):
         raise ValueError("matrix does not pack into 64 bits")
     tables = [_row_table(F, dim, bits, g) for g in gens]
     scalars = _center_tables(F, dim, bits, center)
-    frontier = visited = _least_coset_key(scalars, _scalar_keys(F, dim, [1]),
-                                          dim, bits)
+    identity = _pack(np.eye(dim, dtype=np.uint16)[None], bits)
+    frontier = visited = _least_coset_key(scalars, identity, dim, bits)
     while frontier.size:
         keys = np.concatenate([_apply(t, frontier, dim, bits) for t in tables])
         keys = np.sort(_least_coset_key(scalars, keys, dim, bits))
@@ -550,10 +532,11 @@ def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
 
     The order is a class function, so it is computed for one element of
     each conjugacy class: all representatives are powered together, and
-    each drops out at the least k with M^k one of the group's scalars."""
+    each drops out at the least k with M^k a scalar matrix.  That scalar
+    is in Z: form_center lists every scalar of G."""
     F, n = group.field, group.dim
     bits = _bits_for(F)
-    center = _scalar_keys(F, n, group.center_scalars)
+    eye = np.eye(n, dtype=np.uint16)
     label = conjugacy_classes(group)
     # a label is the index of its class's least key: its fixed points are
     # one representative per class, ascending
@@ -561,7 +544,7 @@ def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
                 n, bits)
     P, k, orders = M, 1, set()
     while P.shape[0]:
-        done = _member_mask(center, _pack(P, bits))
+        done = (P == P[:, :1, :1] * eye).all(axis=(1, 2))
         if done.any():
             orders.add(k)
             P, M = P[~done], M[~done]
@@ -573,37 +556,28 @@ def spectrum_mod_center(group: MatrixGroup) -> Spectrum:
 # ---------------------------------------------------------------------------
 # alternating-group permutation scan
 
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+def _with_first(k: int, rest: np.ndarray) -> np.ndarray:
+    """k, then each row of rest relabelled past k (p >= k becomes p + 1):
+    from the permutations of m points, those of m + 1 that start with k."""
+    block = np.empty((len(rest), rest.shape[1] + 1), dtype=np.uint8)
+    block[:, 0] = k
+    np.add(rest, rest >= k, out=block[:, 1:], casting="unsafe")
+    return block
 
 
-def _even_mask(n: int) -> bytes:
-    """Byte i is 1 iff the i-th permutation of range(n) in lexicographic
-    order is even.
-
-    The i-th permutation has the factorial-base digits of i as its Lehmer
-    code, so its inversion count is their sum.  Fixing the first entry to k
-    adds k inversions: the mask is n blocks of the (n-1)-mask, the odd-k
-    blocks flipped.
-    """
-    mask = b"\x01"
-    for m in range(2, n + 1):
-        flipped = mask.translate(_FLIP)
-        mask = b"".join(flipped if k % 2 else mask for k in range(m))
-    return mask
-
-
-def _lex_permutations(m: int) -> np.ndarray:
-    """Every permutation of range(m) in lexicographic order, one uint8 row
-    each: block j starts with j and continues with the permutations of the
-    other points, themselves in lexicographic order."""
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    for size in range(1, m + 1):
-        points = np.arange(size, dtype=np.uint8)
-        perms = np.concatenate([
-            np.column_stack((np.full(len(perms), j, dtype=np.uint8),
-                             np.delete(points, j)[perms]))
-            for j in range(size)])
-    return perms
+def _even_odd_permutations(m: int) -> tuple:
+    """The even and the odd permutations of range(m), lexicographic, one
+    uint8 row each.  A first entry k adds k inversions, so the even ones of
+    size + 1 points put each k before the even (k even) or odd (k odd) ones
+    of size points, and the odd ones the other way round."""
+    even = np.zeros((1, 0), dtype=np.uint8)  # the empty permutation
+    odd = even[:0]
+    for size in range(m):
+        pair = (even, odd)
+        even, odd = (np.concatenate([_with_first(k, pair[(k + s) % 2])
+                                     for k in range(size + 1)])
+                     for s in (0, 1))
+    return even, odd
 
 
 @lru_cache(maxsize=None)
@@ -655,25 +629,19 @@ def _cycle_length_masks(perm: np.ndarray) -> np.ndarray:
 def alternating_orders_bruteforce(n: int) -> list:
     """All element orders of the alternating group of degree n (5..10).
 
-    For each first entry k, the block of lexicographic permutations that
-    start with k continues with the permutations of the other points.
-    Fixing k adds k inversions, so its even rows continue with the even
+    The even permutations that start with k continue with the even
     permutations of n - 1 points for even k and the odd ones for odd k,
-    each relabelled past k.  Every even permutation's cycles are walked,
+    relabelled past k (_even_odd_permutations); each such block is built
+    in turn, and every even permutation's cycles are walked,
     in chunks of _PERM_CHUNK rows, and its order is the lcm of its cycle
     lengths.  Independent of the prime-power criterion in
     spectra.mu_alternating."""
     if not 5 <= n <= 10:
         raise ValueError("permutation scan supports 5 <= n <= 10")
-    tail = _lex_permutations(n - 1)
-    even = np.frombuffer(_even_mask(n - 1), dtype=bool)
-    tails = (tail[even], tail[~even])
+    tails = _even_odd_permutations(n - 1)
     masks = set()
     for k in range(n):
-        rest = tails[k % 2]
-        block = np.empty((len(rest), n), dtype=np.uint8)
-        block[:, 0] = k
-        np.add(rest, rest >= k, out=block[:, 1:], casting="unsafe")
+        block = _with_first(k, tails[k % 2])
         for lo in range(0, len(block), _PERM_CHUNK):
             masks.update(_cycle_length_masks(block[lo:lo + _PERM_CHUNK]).tolist())
     return sorted({lcm(*(t for t in range(1, n + 1) if m >> t & 1))

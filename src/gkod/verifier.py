@@ -133,7 +133,7 @@ def vasiliev_applicable(g: PrimeGraph) -> VasilievResult:
 def candidate_filter(m: Factorization, g_order: Factorization, catalog) -> list:
     """Catalog members P with m | |P| and |P| | g_order, sorted."""
     out = [P for P in catalog
-           if m.divides(order_of(P)) and order_of(P).divides(g_order)]
+           if m.divides(order := order_of(P)) and order.divides(g_order)]
     return sorted(out, key=GroupId.sort_key)
 
 

@@ -69,7 +69,6 @@ from gkod.oracle import (
     _apply,
     _batch_mul,
     _bits_for,
-    _even_mask,
     _inverse_transpose,
     _least_coset_key,
     _pack,
@@ -441,14 +440,20 @@ def cycle_length_mask_loop(perm):
     return mask
 
 
+def inversion_count(perm):
+    """Pairs i < j with perm[i] > perm[j]."""
+    return sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def alternating_orders_loop(n):
     """Element orders of the alternating group of degree n, one even
-    permutation at a time: each lexicographic permutation the parity mask
-    selects is split into cycles in Python, its order the lcm of the cycle
+    permutation at a time: each permutation with an even inversion count
+    is split into cycles in Python, its order the lcm of the cycle
     lengths."""
     orders = set()
-    for perm in itertools.compress(itertools.permutations(range(n)),
-                                   _even_mask(n)):
+    for perm in itertools.permutations(range(n)):
+        if inversion_count(perm) % 2:
+            continue
         mask = cycle_length_mask_loop(perm)
         orders.add(lcm(*(t for t in range(1, n + 1) if mask >> t & 1)))
     return sorted(orders)

@@ -15,6 +15,7 @@ from oracle_ref import (
     element_order_mod_center,
     exhaustive_orders_mod_center,
     identity_matrix,
+    inversion_count,
     is_special_unitary,
     is_symplectic4,
     least_coset_keys,
@@ -41,10 +42,11 @@ from gkod.oracle import (
     _center_tables,
     _conjugation_map,
     _cycle_length_masks,
-    _even_mask,
+    _even_odd_permutations,
     _least_coset_key,
     _pack,
     _row_table,
+    _unpack,
     alternating_orders_bruteforce,
     alternating_spectrum_bruteforce,
     closure,
@@ -198,14 +200,6 @@ def test_closure_undershoot_without_sampler():
     unipotent = ((1, 1), (0, 1))  # alone generates only 5 elements
     with pytest.raises(ClosureError):
         closure([unipotent], 120, F, 2)
-
-
-def test_matrix_group_contains():
-    grp = sl2_group(5)
-    assert grp.contains(identity_matrix(2))
-    assert grp.contains(((1, 1), (0, 1)))
-    assert grp.contains(((4, 4), (0, 4)))  # -T, in the coset of T
-    assert not grp.contains(((2, 0), (0, 1)))  # det 2
 
 
 def test_center_scalars():
@@ -459,6 +453,23 @@ def test_spectrum_mod_center_support():
     assert sorted(sup) == [2, 3, 5]  # |PSL2(9)| = 360
 
 
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+@pytest.mark.parametrize("name", _BENCH_TARGETS)
+def test_first_scalar_power_of_a_class_lies_in_the_center(name, seed):
+    """spectrum_mod_center drops a representative at its first scalar
+    power, which counts as the order modulo Z only if that scalar is in
+    Z: every scalar matrix of G is one of group.center_scalars."""
+    grp = _MATRIX_TARGETS[name][0](seed=seed)
+    label = conjugacy_classes(grp)
+    reps = _unpack(grp.elements[label == np.arange(label.size)], grp.dim,
+                   _bits_for(grp.field))
+    for M in reps.tolist():
+        P = M = tuple(map(tuple, M))
+        while not (lam := scalars_in([P])):
+            P = mat_mul(grp.field, P, M)
+        assert lam[0] in grp.center_scalars, M
+
+
 # ---------------------------------------------------------------------------
 # alternating-group scan
 
@@ -512,13 +523,16 @@ def test_alternating_a10_mu(oracle_runner):
     assert res.enumerated == 1814400
 
 
-@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_even_mask_matches_inversion_parity(n):
-    mask = _even_mask(n)
-    assert len(mask) == factorial(n) and sum(mask) == factorial(n) // 2
-    for perm, bit in zip(itertools.permutations(range(n)), mask):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        assert bit == (inversions % 2 == 0), perm
+    """_even_odd_permutations(n) is the inversion-parity split of
+    itertools.permutations, each half in its order."""
+    split = ([], [])
+    for perm in itertools.permutations(range(n)):
+        split[inversion_count(perm) % 2].append(perm)
+    for got, want in zip(_even_odd_permutations(n), split):
+        assert got.dtype == np.uint8 and got.shape == (len(want), n)
+        assert [tuple(row) for row in got.tolist()] == want
 
 
 def test_alternating_range_check():

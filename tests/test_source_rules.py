@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,42 @@ def test_one_place_skips_the_constructor_checks():
                    for node in ast.walk(top)):
                 sites.add((path.name, getattr(top, "name", top.lineno)))
     assert sites == {("arith.py", "trusted")}, sites
+
+
+def _private_definitions(tree):
+    """(name, node) for every module-level def, class or assignment whose
+    name is private (one leading underscore, not a dunder)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _references(tree):
+    """How often each name is loaded, read as an attribute or imported
+    under tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.alias))
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    """A private helper that only its own definition, or only the tests,
+    uses is dead code in the library."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [(fname, name) for fname, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if used[name] == _references(node)[name]]
+    assert not dead, f"private names with no use in src/: {dead}"
