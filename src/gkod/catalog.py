@@ -14,6 +14,7 @@ p <= CHARACTERISTIC_BOUND.
 """
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib.resources import files
@@ -21,6 +22,7 @@ from itertools import count
 from math import factorial, gcd, prod
 
 from .arith import (
+    MAX_PRIME_BOUND,
     Factorization,
     divisors,
     factorize,
@@ -38,9 +40,6 @@ FAMILIES = (
     "Spor",
 )
 _FAMILY_INDEX = {f: i for i, f in enumerate(FAMILIES)}
-
-# order factorizations are complete for any group whose primes fit below this
-ORDER_FACTOR_BOUND = 10_000
 
 
 class ParameterError(ValueError):
@@ -195,10 +194,11 @@ def canonicalize(g: GroupId) -> GroupId:
 # ---------------------------------------------------------------------------
 # orders
 
-def _order_terms(fam: str, n, q: int):
+def order_terms(fam: str, n, q: int):
     """(prefix, terms, d) with |G| = prefix * product(terms) / d for the
     Lie-type group G of family fam, dimension n (None for the exceptional
-    families) and field size q.
+    families) and field size q; d is the order of the centre that the
+    oracle's closures divide out of their target, prefix * product(terms).
 
     Term lists are arranged so that within one family and fixed q, every
     term of dimension n divides some term at each larger dimension; the
@@ -209,20 +209,14 @@ def _order_terms(fam: str, n, q: int):
     if fam == "U":
         return (q ** (n * (n - 1) // 2),
                 [q**i - (-1) ** i for i in range(2, n + 1)], gcd(n, q + 1))
-    if fam == "S":
-        m = n // 2
+    if fam in ("S", "O"):
+        m = (n - 1) // 2 if fam == "O" else n // 2
         return q ** (m * m), [q ** (2 * i) - 1 for i in range(1, m + 1)], gcd(2, q - 1)
-    if fam == "O":
-        m = (n - 1) // 2
-        return q ** (m * m), [q ** (2 * i) - 1 for i in range(1, m + 1)], gcd(2, q - 1)
-    if fam == "O+":
+    if fam in ("O+", "O-"):
         m = n // 2
+        top = q**m - 1 if fam == "O+" else q**m + 1
         return (q ** (m * (m - 1)),
-                [q**m - 1] + [q ** (2 * i) - 1 for i in range(1, m)], gcd(4, q**m - 1))
-    if fam == "O-":
-        m = n // 2
-        return (q ** (m * (m - 1)),
-                [q**m + 1] + [q ** (2 * i) - 1 for i in range(1, m)], gcd(4, q**m + 1))
+                [top] + [q ** (2 * i) - 1 for i in range(1, m)], gcd(4, top))
     if fam == "G2":
         return q**6, [q**6 - 1, q**2 - 1], 1
     if fam == "F4":
@@ -257,7 +251,7 @@ def order_value(g: GroupId) -> int:
         return factorial(g.n) // 2
     if g.family == "Spor":
         return sporadic_order(g.name).value()
-    prefix, terms, d = _order_terms(g.family, g.n, g.q)
+    prefix, terms, d = order_terms(g.family, g.n, g.q)
     return prod(terms, start=prefix) // d
 
 
@@ -267,7 +261,7 @@ def order_of(g: GroupId) -> Factorization:
     ParameterError from sporadic_order or order_value."""
     if g.family == "Spor":
         return sporadic_order(g.name)
-    return factorize(order_value(g), ORDER_FACTOR_BOUND)
+    return factorize(order_value(g), MAX_PRIME_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +282,6 @@ ENUMERATION_FACTS = (
 # families have no dimension and run as the single-dimension case
 _DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
                "O+": (8, 2), "O-": (8, 2)}
-
-
-def _valid_quiet(g: GroupId) -> bool:
-    try:
-        validate_group(g)
-        return True
-    except ParameterError:
-        return False
 
 
 def _field_exponents(r: int, plist) -> list:
@@ -322,7 +308,9 @@ def enumerate_S_p(p: int) -> list:
     and ranks up to the first term with a prime factor above p, which by
     Zsigmondy's theorem always occurs (q^i - 1 with q = r^f and fi >= p has
     a primitive prime divisor l = 1 mod fi, so l > p).  The result is
-    complete for p <= CHARACTERISTIC_BOUND.
+    complete for p <= CHARACTERISTIC_BOUND.  A Lie-type candidate with
+    p-smooth order terms is in S_p when p is its characteristic or divides
+    a term, and canonicalize validates it, once.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -331,8 +319,8 @@ def enumerate_S_p(p: int) -> list:
     found = {GroupId("A", n=n) for n in range(max(5, p), next_prime_after(p))}
 
     for name, f in _sporadic_table().items():
-        o = f.value()
-        if o % p == 0 and is_smooth(o, p):
+        # the largest prime of |S| is p: p divides it and it is p-smooth
+        if f.primes()[-1] == p:
             found.add(GroupId("Spor", name=name))
 
     # terms such as q^2 - 1 recur across families and ranks
@@ -346,16 +334,20 @@ def enumerate_S_p(p: int) -> list:
             for family in FAMILIES[1:-1]:  # the 16 Lie families
                 dims = count(*_DIMENSIONS[family]) if family in _DIMENSIONS else (None,)
                 for n in dims:
-                    prefix, terms, d = _order_terms(family, n, q)
+                    _, terms, _ = order_terms(family, n, q)
                     if not all(map(smooth, terms)):
                         # the non-smooth term recurs at every larger n, so
                         # stop here even if (family, n, q) is not simple
                         break
-                    if prod(terms, start=prefix) // d % p:
-                        continue
-                    g = GroupId(family, n=n, q=q)
-                    if _valid_quiet(g):
-                        found.add(canonicalize(g))
+                    # p | |S| = prefix * prod(terms) / d iff p = r or p
+                    # divides a term (prefix a power of r, d prime to r): d
+                    # never removes the last p, as for p >= 5, p | d only
+                    # for L_n, U_n with p | n, where p divides all n - 1
+                    # terms and v_p(d) <= v_p(n) < n - 1, and for p <= 3 no
+                    # simple group has p-smooth terms (Burnside's p^a q^b)
+                    if r == p or any(t % p == 0 for t in terms):
+                        with suppress(ParameterError):
+                            found.add(canonicalize(GroupId(family, n=n, q=q)))
     return sorted(found, key=GroupId.sort_key)
 
 

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import catalog, graph, spectra, verifier
-from .arith import is_prime
+from .arith import MAX_PRIME_BOUND, is_prime
 from .catalog import GroupId
 
 TABLE_GROUPS = ("S4(31)", "U3(27)", "G2(11)", "U4(31)")
@@ -99,7 +99,7 @@ def _graph_of(g: GroupId):
     if not order.is_complete:
         raise DomainError(
             f"|{g.label()}| has a prime factor above "
-            f"{catalog.ORDER_FACTOR_BOUND}; the prime graph needs the "
+            f"{MAX_PRIME_BOUND}; the prime graph needs the "
             "complete factorization")
     return order, mu
 

@@ -3,8 +3,9 @@
 Three independent mechanisms live here: finite-field arithmetic over
 F_{p^k} (elements encoded as base-p digit integers, every operation a
 lookup in q x q numpy tables), matrix-group closure under multiplication
-certified by hitting the closed-form group order exactly, and
-even-permutation enumeration for small alternating groups.
+certified by hitting exactly the order given by the catalog's order
+terms (catalog.order_terms), and even-permutation enumeration for small
+alternating groups.
 
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
@@ -36,11 +37,12 @@ generator.
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import factorial, lcm
+from math import lcm, prod
 
 import numpy as np
 
 from .arith import is_prime, prime_power
+from .catalog import GroupId, order_terms, order_value
 from .spectra import (
     SOURCE_ORACLE,
     Spectrum,
@@ -159,16 +161,20 @@ def make_field(p: int, k: int) -> Field:
 # scalar matrix helpers (tuples of tuples of element codes)
 
 def mat_det(F, A):
-    n = len(A)
-    if n == 1:
+    if len(A) == 1:
         return A[0][0]
     det = 0
-    for j in range(n):
-        minor = tuple(tuple(A[i][k] for k in range(n) if k != j)
-                      for i in range(1, n))
-        term = F.mul(A[0][j], mat_det(F, minor))
-        det = F.add(det, F.neg(term) if j % 2 else term)
+    for j, a in enumerate(A[0]):
+        det = F.add(det, F.mul(a, _cofactor(F, A, 0, j)))
     return det
+
+
+def _cofactor(F, A, i, j):
+    """(-1)^(i+j) times the determinant of A without row i and column j."""
+    minor = tuple(tuple(x for c, x in enumerate(row) if c != j)
+                  for r, row in enumerate(A) if r != i)
+    d = mat_det(F, minor)
+    return F.neg(d) if (i + j) % 2 else d
 
 
 def _nullspace(F, rows, n):
@@ -301,11 +307,8 @@ def _unpack(keys, n, bits):
     return out.reshape(-1, n, n)
 
 def _batch_mul(F, A, B):
-    """A (N,n,n) times B ((n,n) broadcast, or (N,n,n) pairwise)."""
-    if B.ndim == 2:
-        T = F.mul_table[A[:, :, :, None], B[None, None, :, :]]
-    else:
-        T = F.mul_table[A[:, :, :, None], B[:, None, :, :]]
+    """A times B pairwise, both (N,n,n)."""
+    T = F.mul_table[A[:, :, :, None], B[:, None, :, :]]
     C = T[:, :, 0, :]
     for k in range(1, A.shape[2]):
         C = F.add_table[C, T[:, :, k, :]]
@@ -354,16 +357,9 @@ def _apply(table, keys, n, bits, transpose=False):
 
 def _inverse_transpose(F, M):
     """(M^-1)^T: the cofactor matrix of M over det M."""
-    n = len(M)
     di = F.inv(mat_det(F, M))
-
-    def cofactor(i, j):
-        minor = tuple(tuple(M[r][c] for c in range(n) if c != j)
-                      for r in range(n) if r != i)
-        d = F.mul(di, mat_det(F, minor))
-        return F.neg(d) if (i + j) % 2 else d
-
-    return tuple(tuple(cofactor(i, j) for j in range(n)) for i in range(n))
+    return tuple(tuple(F.mul(di, _cofactor(F, M, i, j)) for j in range(len(M)))
+                 for i in range(len(M)))
 
 
 def form_center(F, n, gram=None, e=1):
@@ -655,39 +651,37 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # named targets
 
-def _sampled_closure(F, dim, target, seed, gram=None, e=1):
+def _sampled_closure(F, family, dim, q, seed, gram=None, e=1):
     """Closure, modulo the form's scalars, of two isometries of
     (gram, sigma) drawn from a seeded rng, which also draws any extra
-    generator on an undershoot."""
-    center = form_center(F, dim, gram, e)
+    generator on an undershoot, up to prefix * prod(terms) of order_terms."""
+    prefix, terms, _ = order_terms(family, dim, q)
     sample = partial(random_isometry, F, dim, random.Random(seed), gram, e)
-    return closure([sample(), sample()], target, F, dim, sample, center)
+    return closure([sample(), sample()], prod(terms, start=prefix), F, dim,
+                   sample, form_center(F, dim, gram, e))
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """SL_2(q) by closure; target order q(q^2-1)."""
+    """SL_2(q) by closure, certified by the order of L2(q) times its centre."""
     F = make_field(*prime_power(q))
-    return _sampled_closure(F, 2, q * (q * q - 1), seed)
+    return _sampled_closure(F, "L", 2, q, seed)
 
 
 def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SU_n(q) inside GL_n(q^2), the isometries of the identity Gram form
-    with sigma(x) = x^q; target q^(n(n-1)/2) prod(q^i - (-1)^i)."""
+    with sigma(x) = x^q, certified by the order terms of U_n(q)."""
     p, k = prime_power(q)
     F = make_field(p, 2 * k)
-    target = q ** (n * (n - 1) // 2)
-    for i in range(2, n + 1):
-        target *= q**i - (-1) ** i
-    return _sampled_closure(F, n, target, seed, _scalar_matrix(n), q)
+    return _sampled_closure(F, "U", n, q, seed, _scalar_matrix(n), q)
 
 
 def sp4_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """Sp_4(q), the isometries of Omega = [[0, I], [-I, 0]]; target order
-    q^4 (q^2-1)(q^4-1)."""
+    """Sp_4(q), the isometries of Omega = [[0, I], [-I, 0]], certified by
+    the order terms of S4(q)."""
     F = make_field(*prime_power(q))
     m = F.neg(1)
     omega = ((0, 0, 1, 0), (0, 0, 0, 1), (m, 0, 0, 0), (0, m, 0, 0))
-    return _sampled_closure(F, 4, q**4 * (q * q - 1) * (q**4 - 1), seed, omega)
+    return _sampled_closure(F, "S", 4, q, seed, omega)
 
 
 @dataclass(frozen=True)
@@ -726,7 +720,7 @@ def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
         n = int(name[1:])
         mu_o = alternating_spectrum_bruteforce(n)
         mu_f = mu_alternating(n)
-        return OracleResult(name, factorial(n) // 2, mu_o, mu_f,
+        return OracleResult(name, order_value(GroupId("A", n=n)), mu_o, mu_f,
                             mu_o.mu == mu_f.mu)
     build, formula = _MATRIX_TARGETS[name]
     grp = build(seed=seed)

@@ -21,9 +21,9 @@ over partitions, kept here as partition_orders_alternating.
 The rest are the routines replaced in arith, catalog, graph and verifier:
 prime_power by trial division over a sieve, is_prime by the 13-base
 Miller-Rabin test alone, the quadratic antichain filter,
-enumerate_S_p over plain bounds with no q - 1 gate and no search space
-from Zsigmondy's theorem, and the lexicographically least
-witness by a scan over vertex combinations.  factorize and the prime graph
+enumerate_S_p over plain bounds with no q - 1 gate, no search space
+from Zsigmondy's theorem and p tested on the whole order, and the
+lexicographically least witness by a scan over vertex combinations.  factorize and the prime graph
 had a plain trial division over every prime, a graph build that factors
 each member of mu on its own and tests pq against every member, and
 neighbour sets with a depth-first component search in place of the one
@@ -52,10 +52,11 @@ from gkod.arith import (
 )
 from gkod.catalog import (
     GroupId,
-    _order_terms,
+    ParameterError,
     _sporadic_table,
-    _valid_quiet,
     canonicalize,
+    order_terms,
+    validate_group,
 )
 from gkod.graph import (
     CauchyConsistencyError,
@@ -338,7 +339,8 @@ def row_table_batch_mul(F, n, bits, h, transpose=False):
     rows times h, n^2 multiply lookups per row."""
     rows = np.unravel_index(np.arange(F.q ** n), (F.q,) * n)
     rows = np.stack(rows, axis=-1).astype(np.uint16)[:, None, :]
-    prod = _batch_mul(F, rows, np.array(h, dtype=np.uint16))
+    h = np.broadcast_to(np.array(h, dtype=np.uint16), (len(rows), n, n))
+    prod = _batch_mul(F, rows, h)
     if transpose:
         cols = np.zeros((prod.shape[0], n, n), dtype=np.uint16)
         cols[:, :, 0] = prod[:, 0, :]
@@ -570,7 +572,10 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
     """enumerate_S_p testing every family at every field size r^k with
     k <= max_field_exponent and rank <= max_rank, in every characteristic
     r <= p, and every alternating degree up to max_alt_degree, with no
-    gate on q - 1."""
+    gate on q - 1.  Each candidate is validated before its order is built,
+    and p is tested on the whole order, so neither the enumerator's p-test
+    on the order terms nor its one validation through canonicalize is
+    taken on trust."""
     plist = primes_upto(p)
     found = set()
     for n in range(5, max_alt_degree + 1):
@@ -582,8 +587,15 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
         if o % p == 0 and factorize(o, p).is_complete:
             found.add(GroupId("Spor", name=name))
 
+    def is_simple(g):
+        try:
+            validate_group(g)
+        except ParameterError:
+            return False
+        return True
+
     def order_if_smooth(g):
-        prefix, terms, d = _order_terms(g.family, g.n, g.q)
+        prefix, terms, d = order_terms(g.family, g.n, g.q)
         if not all(factorize(t, p).is_complete for t in terms):
             return None
         o = prefix
@@ -602,7 +614,7 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
             for family, ns in dimensions.items():
                 for n in ns:
                     g = GroupId(family, n=n, q=q)
-                    if not _valid_quiet(g):
+                    if not is_simple(g):
                         continue
                     o = order_if_smooth(g)
                     if o is None:
@@ -612,7 +624,7 @@ def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=
             for family in ("G2", "F4", "E6", "E7", "E8", "2E6", "3D4",
                            "2B2", "2G2", "2F4"):
                 g = GroupId(family, q=q)
-                if _valid_quiet(g):
+                if is_simple(g):
                     o = order_if_smooth(g)
                     if o is not None and o % p == 0:
                         found.add(canonicalize(g))

@@ -202,7 +202,7 @@ def test_enumerate_p37_against_brute_force():
 def test_enumerate_gate_matches_ungated_loop():
     # the derived search space and the q - 1 gate only skip candidates that
     # an exhaustive loop over plain bounds rejects
-    for p in primes_upto(37)[2:]:
+    for p in primes_upto(37):
         assert enumerate_S_p(p) == enumerate_S_p_ungated(p), p
 
 

@@ -31,8 +31,10 @@ from oracle_ref import (
 
 from gkod import oracle
 from gkod.arith import primes_upto
+from gkod.catalog import GroupId, order_terms, order_value
 from gkod.oracle import (
     DEFAULT_SEED,
+    ClosureError,
     FormViolationError,
     MAX_CLOSURE,
     ORACLE_TARGETS,
@@ -195,11 +197,41 @@ def test_closure_target_above_max_closure():
 
 
 def test_closure_undershoot_without_sampler():
-    from gkod.oracle import ClosureError
     F = make_field(5, 1)
     unipotent = ((1, 1), (0, 1))  # alone generates only 5 elements
     with pytest.raises(ClosureError):
         closure([unipotent], 120, F, 2)
+
+
+# the simple quotient G/Z of each matrix target's group G, by name prefix
+_SIMPLE_QUOTIENT = {"SL2": ("L", 2), "SU3": ("U", 3), "SU4": ("U", 4),
+                    "SP4": ("S", 4)}
+
+
+@pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
+def test_closure_certifies_catalog_order(name):
+    """Each closure reaches |S| cosets of a centre of order d, for the
+    simple group S and the d of the catalog's order terms."""
+    head, q = name.split("_")
+    family, n = _SIMPLE_QUOTIENT[head]
+    grp = _MATRIX_TARGETS[name][0](seed=DEFAULT_SEED)
+    assert len(grp.center_scalars) == order_terms(family, n, int(q))[2]
+    assert grp.elements.size == order_value(GroupId(family, n=n, q=int(q)))
+
+
+@pytest.mark.parametrize("wrong", [lambda q, terms: terms + [q + 1],
+                                   lambda q, terms: [q - 1]],
+                         ids=["extra_term", "smaller_term"])
+def test_closure_rejects_order_terms_off_by_one_term(wrong, monkeypatch):
+    """SL_2(5) against order terms with one term too many never reaches
+    its target; with q^2 - 1 replaced by q - 1, it grows past it."""
+    def off(family, n, q):
+        prefix, terms, d = order_terms(family, n, q)
+        return prefix, wrong(q, terms), d
+
+    monkeypatch.setattr(oracle, "order_terms", off)
+    with pytest.raises((ClosureError, FormViolationError)):
+        sl2_group(5)
 
 
 def test_center_scalars():

@@ -89,6 +89,20 @@ def test_one_place_skips_the_constructor_checks():
     assert sites == {("arith.py", "trusted")}, sites
 
 
+def test_no_private_import_across_src_modules():
+    """A module of gkod imports only the public names of another: a
+    private name may change with its own module alone."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, node.lineno, alias.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "gkod")
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert not found, f"private names imported across modules: {found}"
+
+
 def _private_definitions(tree):
     """(name, node) for every module-level def, class or assignment whose
     name is private (one leading underscore, not a dunder)."""
