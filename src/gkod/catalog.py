@@ -41,6 +41,15 @@ FAMILIES = (
 )
 _FAMILY_INDEX = {f: i for i, f in enumerate(FAMILIES)}
 
+# first dimension and step of the classical families (an exceptional
+# family has the one dimension None); odd-dimension O starts at 7, since O3
+# and O5 coincide with L2 and S4, and O+/O- at 8, since dimension 6
+# coincides with L4/U4
+_DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
+               "O+": (8, 2), "O-": (8, 2)}
+# the classical groups in range that are not simple
+_NOT_SIMPLE = {("L", 2, 2), ("L", 2, 3), ("U", 3, 2), ("S", 4, 2)}
+
 
 class ParameterError(ValueError):
     """Parameters do not describe a simple group in the given family."""
@@ -68,7 +77,7 @@ class GroupId:
             return f"A{self.n}"
         if self.family == "Spor":
             return self.name
-        if self.family in ("L", "U", "S", "O", "O+", "O-"):
+        if self.family in _DIMENSIONS:
             return f"{self.family}{self.n}({self.q})"
         return f"{self.family}({self.q})"
 
@@ -146,36 +155,24 @@ def validate_group(g: GroupId) -> None:
         raise ParameterError(f"q = {g.q} is not a prime power")
     p, k = pk
     fam, n = g.family, g.n
-    if fam == "L":
-        if n is None or n < 2 or (n == 2 and g.q in (2, 3)):
-            raise ParameterError(f"L{n}({g.q}) is not simple")
-    elif fam == "U":
-        if n is None or n < 3 or (n == 3 and g.q == 2):
-            raise ParameterError(f"U{n}({g.q}) is not simple")
-    elif fam == "S":
-        if n is None or n < 4 or n % 2 or (n == 4 and g.q == 2):
-            raise ParameterError(f"S{n}({g.q}) is not simple")
-    elif fam == "O":
-        # dimensions 3 and 5 coincide with L2 and S4; require >= 7
-        if n is None or n < 7 or n % 2 == 0:
-            raise ParameterError(f"O{n}({g.q}) out of range (odd dimension >= 7)")
-    elif fam in ("O+", "O-"):
-        # dimension 6 coincides with L4/U4; require >= 8
-        if n is None or n < 8 or n % 2:
-            raise ParameterError(f"{fam}{n}({g.q}) out of range (even dimension >= 8)")
+    if fam in _DIMENSIONS:
+        first, step = _DIMENSIONS[fam]
+        if (n is None or n < first or (n - first) % step
+                or (fam, n, g.q) in _NOT_SIMPLE):
+            if not fam.startswith("O"):
+                raise ParameterError(f"{fam}{n}({g.q}) is not simple")
+            parity = "odd" if first % 2 else "even"
+            raise ParameterError(f"{fam}{n}({g.q}) out of range "
+                                 f"({parity} dimension >= {first})")
     elif fam == "G2":
         if g.q < 3:
             raise ParameterError("G2(2) is not simple")
-    elif fam == "2B2":
-        if p != 2 or k % 2 == 0 or g.q < 8:
-            raise ParameterError("2B2 requires q = 2^(2m+1), m >= 1")
-    elif fam == "2G2":
-        if p != 3 or k % 2 == 0 or g.q < 27:
-            raise ParameterError("2G2 requires q = 3^(2m+1), m >= 1")
-    elif fam == "2F4":
-        if p != 2 or k % 2 == 0 or g.q < 8:
-            raise ParameterError("2F4 requires q = 2^(2m+1), m >= 1 (the Tits "
-                                 "group is the sporadic entry 2F4(2)')")
+    elif fam in ("2B2", "2G2", "2F4"):
+        r = 3 if fam == "2G2" else 2
+        if p != r or k % 2 == 0 or k == 1:
+            note = (" (the Tits group is the sporadic entry 2F4(2)')"
+                    if fam == "2F4" else "")
+            raise ParameterError(f"{fam} requires q = {r}^(2m+1), m >= 1{note}")
 
 
 def canonicalize(g: GroupId) -> GroupId:
@@ -199,6 +196,9 @@ def order_terms(fam: str, n, q: int):
     Lie-type group G of family fam, dimension n (None for the exceptional
     families) and field size q; d is the order of the centre that the
     oracle's closures divide out of their target, prefix * product(terms).
+
+    It validates nothing (O4(3) gets the terms of O3(3)): callers validate
+    first, as order_value does; the tests close the non-simple SU_3(2).
 
     Term lists are arranged so that within one family and fixed q, every
     term of dimension n divides some term at each larger dimension; the
@@ -277,12 +277,6 @@ ENUMERATION_FACTS = (
     "divisor l with ord_l(r) = e, except (r, e) = (2, 1), e = 2 with r + 1 a "
     "power of 2, and (r, e) = (2, 6)",
 )
-
-# first dimension and step of the classical families; the exceptional
-# families have no dimension and run as the single-dimension case
-_DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
-               "O+": (8, 2), "O-": (8, 2)}
-
 
 def _field_exponents(r: int, plist) -> list:
     """Every f for which r^f - 1 may be p-smooth (p = plist[-1]), ascending.

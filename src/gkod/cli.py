@@ -17,7 +17,7 @@ from . import catalog, graph, spectra, verifier
 from .arith import MAX_PRIME_BOUND, is_prime
 from .catalog import GroupId
 
-TABLE_GROUPS = ("S4(31)", "U3(27)", "G2(11)", "U4(31)")
+TABLE_GROUPS = tuple(verifier.CASE_PI)
 
 
 class DomainError(Exception):
@@ -75,11 +75,7 @@ def cmd_table1(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g = parse_selector(args.family, args.param)
-    try:
-        mu = spectra.spectrum_of(g)
-    except (spectra.SpectrumNotImplementedError,
-            spectra.UnsupportedParameterError, catalog.ParameterError) as exc:
-        raise DomainError(str(exc)) from exc
+    mu = spectra.spectrum_of(g)
     if args.json:
         _json_print({"group": g.label(), "mu": list(mu.mu), "source": mu.source})
     else:
@@ -87,26 +83,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _graph_of(g: GroupId):
-    try:
-        # the spectrum first: it rejects out-of-range parameters without
-        # computing an order (|A_n| for large n is slow to factorize)
-        mu = spectra.spectrum_of(g)
-        order = catalog.order_of(g)
-    except (spectra.SpectrumNotImplementedError,
-            spectra.UnsupportedParameterError, catalog.ParameterError) as exc:
-        raise DomainError(str(exc)) from exc
+def cmd_graph(args) -> int:
+    g = parse_selector(args.family, args.param)
+    # the spectrum first: it rejects out-of-range parameters without
+    # computing an order (|A_n| for large n is slow to factorize)
+    mu = spectra.spectrum_of(g)
+    order = catalog.order_of(g)
     if not order.is_complete:
         raise DomainError(
             f"|{g.label()}| has a prime factor above "
             f"{MAX_PRIME_BOUND}; the prime graph needs the "
             "complete factorization")
-    return order, mu
-
-
-def cmd_graph(args) -> int:
-    g = parse_selector(args.family, args.param)
-    order, mu = _graph_of(g)
     gk = graph.build_gk(order, mu)
     if args.dot:
         sys.stdout.write(graph.to_dot(gk))
@@ -147,7 +134,7 @@ def cmd_enumerate(args) -> int:
     complete = args.max_prime <= catalog.CHARACTERISTIC_BOUND
     agrees = None
     if args.max_prime == 37:
-        agrees = labels == [g.label() for g in catalog.s37_reference()]
+        agrees = groups == catalog.s37_reference()
     if args.json:
         out = {"max_prime": args.max_prime, "complete": complete,
                "assumed_facts": list(catalog.ENUMERATION_FACTS),
@@ -261,9 +248,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "oracle": cmd_oracle,
     }[args.cmd]
+    # the one place where a domain error becomes "gk: ..." and exit 1
     try:
         return handler(args)
-    except DomainError as exc:
+    except (DomainError, catalog.ParameterError, spectra.UnsupportedParameterError,
+            spectra.SpectrumNotImplementedError) as exc:
         print(f"gk: {exc}", file=sys.stderr)
         return 1
 

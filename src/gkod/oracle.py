@@ -5,7 +5,9 @@ F_{p^k} (elements encoded as base-p digit integers, every operation a
 lookup in q x q numpy tables), matrix-group closure under multiplication
 certified by hitting exactly the order given by the catalog's order
 terms (catalog.order_terms), and even-permutation enumeration for small
-alternating groups.
+alternating groups.  Each named target (run_target) sets the spectrum it
+enumerates against spectra.spectrum_of, the dispatch that every gk
+command takes, so the formula side is the one gk reports.
 
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
@@ -43,15 +45,7 @@ import numpy as np
 
 from .arith import is_prime, prime_power
 from .catalog import GroupId, order_terms, order_value
-from .spectra import (
-    SOURCE_ORACLE,
-    Spectrum,
-    mu_L2,
-    mu_S4,
-    mu_U3,
-    mu_U4,
-    mu_alternating,
-)
+from .spectra import SOURCE_ORACLE, Spectrum, spectrum_of
 
 DEFAULT_SEED = 0xA11CE
 TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
@@ -694,36 +688,33 @@ class OracleResult:
 
 
 _MATRIX_TARGETS = {
-    # name: (group constructor taking seed=, formula)
-    "SL2_4": (partial(sl2_group, 4), partial(mu_L2, 4)),
-    "SL2_5": (partial(sl2_group, 5), partial(mu_L2, 5)),
-    "SL2_7": (partial(sl2_group, 7), partial(mu_L2, 7)),
-    "SL2_9": (partial(sl2_group, 9), partial(mu_L2, 9)),
-    "SL2_13": (partial(sl2_group, 13), partial(mu_L2, 13)),
-    "SL2_37": (partial(sl2_group, 37), partial(mu_L2, 37)),
-    "SU3_3": (partial(su_group, 3, 3), partial(mu_U3, 3)),
-    "SU3_5": (partial(su_group, 3, 5), partial(mu_U3, 5)),
-    "SU4_3": (partial(su_group, 4, 3), partial(mu_U4, 3)),
-    "SP4_5": (partial(sp4_group, 5), partial(mu_S4, 5)),
+    # name: (group constructor taking seed=, the simple group G/Z(G))
+    "SL2_4": (partial(sl2_group, 4), GroupId("L", n=2, q=4)),
+    "SL2_5": (partial(sl2_group, 5), GroupId("L", n=2, q=5)),
+    "SL2_7": (partial(sl2_group, 7), GroupId("L", n=2, q=7)),
+    "SL2_9": (partial(sl2_group, 9), GroupId("L", n=2, q=9)),
+    "SL2_13": (partial(sl2_group, 13), GroupId("L", n=2, q=13)),
+    "SL2_37": (partial(sl2_group, 37), GroupId("L", n=2, q=37)),
+    "SU3_3": (partial(su_group, 3, 3), GroupId("U", n=3, q=3)),
+    "SU3_5": (partial(su_group, 3, 5), GroupId("U", n=3, q=5)),
+    "SU4_3": (partial(su_group, 4, 3), GroupId("U", n=4, q=3)),
+    "SP4_5": (partial(sp4_group, 5), GroupId("S", n=4, q=5)),
 }
 
-ORACLE_TARGETS = tuple(sorted(_MATRIX_TARGETS)) + tuple(
-    f"A{n}" for n in range(5, 11))
+ORACLE_TARGETS = (*sorted(_MATRIX_TARGETS), *(f"A{n}" for n in range(5, 11)))
 
 
 def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
-    """Run one named oracle target and compare against the formula route."""
+    """Run one named oracle target and compare it against spectrum_of."""
     if name not in ORACLE_TARGETS:
         raise ValueError(f"unknown oracle target {name!r} "
                          f"(known: {', '.join(ORACLE_TARGETS)})")
-    if name not in _MATRIX_TARGETS:
-        n = int(name[1:])
-        mu_o = alternating_spectrum_bruteforce(n)
-        mu_f = mu_alternating(n)
-        return OracleResult(name, order_value(GroupId("A", n=n)), mu_o, mu_f,
-                            mu_o.mu == mu_f.mu)
-    build, formula = _MATRIX_TARGETS[name]
-    grp = build(seed=seed)
-    mu_o = spectrum_mod_center(grp)
-    mu_f = formula()
-    return OracleResult(name, grp.order, mu_o, mu_f, mu_o.mu == mu_f.mu)
+    if name in _MATRIX_TARGETS:
+        build, g = _MATRIX_TARGETS[name]
+        grp = build(seed=seed)
+        enumerated, mu_o = grp.order, spectrum_mod_center(grp)
+    else:
+        g = GroupId("A", n=int(name[1:]))
+        enumerated, mu_o = order_value(g), alternating_spectrum_bruteforce(g.n)
+    mu_f = spectrum_of(g)
+    return OracleResult(name, enumerated, mu_o, mu_f, mu_o.mu == mu_f.mu)

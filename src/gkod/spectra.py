@@ -33,9 +33,9 @@ class SpectrumNotImplementedError(NotImplementedError):
     """No spectrum routine for this family."""
 
     def __init__(self, family: str):
+        covered = ", ".join(["Alt"] + [f"{f}{n or ''}" for f, n in _CLOSED_FORMS])
         super().__init__(
-            f"no spectrum implemented for family {family!r} "
-            "(covered: Alt, L2, U3, U4, S4, G2)")
+            f"no spectrum implemented for family {family!r} (covered: {covered})")
         self.family = family
 
 
@@ -183,20 +183,19 @@ def mu_alternating(n: int) -> Spectrum:
     return trusted(Spectrum, mu=tuple(mu), source=SOURCE_PARTITION)
 
 
+# the closed form of each (family, dimension); the exceptional families
+# have no dimension
+_CLOSED_FORMS = {("L", 2): mu_L2, ("U", 3): mu_U3, ("U", 4): mu_U4,
+                 ("S", 4): mu_S4, ("G2", None): mu_G2}
+
+
 def spectrum_of(g: GroupId) -> Spectrum:
     """Dispatch to the routine matching g's family and dimension."""
     validate_group(g)
     if g.family == "A":
         return mu_alternating(g.n)
-    if g.family == "L" and g.n == 2:
-        return mu_L2(g.q)
-    if g.family == "U" and g.n == 3:
-        return mu_U3(g.q)
-    if g.family == "U" and g.n == 4:
-        return mu_U4(g.q)
-    if g.family == "S" and g.n == 4:
-        return mu_S4(g.q)
-    if g.family == "G2":
-        return mu_G2(g.q)
-    fam = g.family if g.n is None else f"{g.family}{g.n}"
-    raise SpectrumNotImplementedError(fam)
+    form = _CLOSED_FORMS.get((g.family, g.n))
+    if form is None:
+        fam = g.family if g.n is None else f"{g.family}{g.n}"
+        raise SpectrumNotImplementedError(fam)
+    return form(g.q)

@@ -20,7 +20,8 @@ over partitions, kept here as partition_orders_alternating.
 
 The rest are the routines replaced in arith, catalog, graph and verifier:
 prime_power by trial division over a sieve, is_prime by the 13-base
-Miller-Rabin test alone, the quadratic antichain filter,
+Miller-Rabin test alone, the quadratic antichain filter, validate_group
+with one branch per family in place of the dimension table,
 enumerate_S_p over plain bounds with no q - 1 gate, no search space
 from Zsigmondy's theorem and p tested on the whole order, and the
 lexicographically least witness by a scan over vertex combinations.  factorize and the prime graph
@@ -48,14 +49,17 @@ from gkod.arith import (
     factorize,
     is_prime,
     prime_factors,
+    prime_power,
     primes_upto,
 )
 from gkod.catalog import (
+    FAMILIES,
     GroupId,
     ParameterError,
     _sporadic_table,
     canonicalize,
     order_terms,
+    sporadic_order,
     validate_group,
 )
 from gkod.graph import (
@@ -566,6 +570,53 @@ def lex_least_witness_scan(g, t, force=None):
         if all(b not in adj[a] for a, b in itertools.combinations(comb, 2)):
             return comb
     return None
+
+
+def validate_group_branchy(g):
+    """validate_group with a branch of its own for each family, as it was
+    before the classical ranges were read off one dimension table."""
+    if g.family not in FAMILIES:
+        raise ParameterError(f"unknown family {g.family!r}")
+    if g.family == "A":
+        if g.n is None or g.n < 5:
+            raise ParameterError("alternating groups require degree n >= 5")
+        return
+    if g.family == "Spor":
+        sporadic_order(g.name)
+        return
+    pk = prime_power(g.q) if g.q else None
+    if pk is None:
+        raise ParameterError(f"q = {g.q} is not a prime power")
+    p, k = pk
+    fam, n = g.family, g.n
+    if fam == "L":
+        if n is None or n < 2 or (n == 2 and g.q in (2, 3)):
+            raise ParameterError(f"L{n}({g.q}) is not simple")
+    elif fam == "U":
+        if n is None or n < 3 or (n == 3 and g.q == 2):
+            raise ParameterError(f"U{n}({g.q}) is not simple")
+    elif fam == "S":
+        if n is None or n < 4 or n % 2 or (n == 4 and g.q == 2):
+            raise ParameterError(f"S{n}({g.q}) is not simple")
+    elif fam == "O":
+        if n is None or n < 7 or n % 2 == 0:
+            raise ParameterError(f"O{n}({g.q}) out of range (odd dimension >= 7)")
+    elif fam in ("O+", "O-"):
+        if n is None or n < 8 or n % 2:
+            raise ParameterError(f"{fam}{n}({g.q}) out of range (even dimension >= 8)")
+    elif fam == "G2":
+        if g.q < 3:
+            raise ParameterError("G2(2) is not simple")
+    elif fam == "2B2":
+        if p != 2 or k % 2 == 0 or g.q < 8:
+            raise ParameterError("2B2 requires q = 2^(2m+1), m >= 1")
+    elif fam == "2G2":
+        if p != 3 or k % 2 == 0 or g.q < 27:
+            raise ParameterError("2G2 requires q = 3^(2m+1), m >= 1")
+    elif fam == "2F4":
+        if p != 2 or k % 2 == 0 or g.q < 8:
+            raise ParameterError("2F4 requires q = 2^(2m+1), m >= 1 (the Tits "
+                                 "group is the sporadic entry 2F4(2)')")
 
 
 def enumerate_S_p_ungated(p, max_field_exponent=40, max_rank=24, max_alt_degree=100):

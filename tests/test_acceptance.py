@@ -116,7 +116,7 @@ def test_criterion_4_formula_vs_oracle_standard(oracle_runner):
                         "A5..A9 full omega")
 
 
-def test_criterion_4_heavy_tier(oracle_runner):
+def test_criterion_4_sp4_5(oracle_runner):
     t0 = time.time()
     sp4 = oracle_runner("SP4_5")
     assert sp4.match and sp4.enumerated == 9360000

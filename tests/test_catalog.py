@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import time
 from importlib.resources import files
 
 import pytest
-from oracle_ref import enumerate_S_p_ungated
+from oracle_ref import enumerate_S_p_ungated, validate_group_branchy
 
 from gkod.arith import is_smooth, prime_power, primes_upto
 from gkod.catalog import (
+    FAMILIES,
     GroupId,
     ParameterError,
     ScopeError,
@@ -109,6 +111,27 @@ def test_validation_rejects_nonsimple_parameters():
                 GroupId("O+", n=6, q=2)):
         with pytest.raises(ParameterError):
             validate_group(bad)
+
+
+def _outcome(validate, g):
+    try:
+        validate(g)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_group_matches_branchy_reference():
+    # every family and an unknown one, over dimensions and field sizes on
+    # both sides of each range's edges; the exceptional families get stray
+    # dimensions too
+    ns = (None, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+    qs = (None, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 81, 128, 243)
+    for family in FAMILIES + ("X",):
+        names = ("M11", "M25", None) if family == "Spor" else (None,)
+        for n, q, name in itertools.product(ns, qs, names):
+            g = GroupId(family, n=n, q=q, name=name)
+            assert _outcome(validate_group, g) == _outcome(validate_group_branchy, g), g
 
 
 def test_canonicalize_coincidences():

@@ -31,7 +31,7 @@ from oracle_ref import (
 
 from gkod import oracle
 from gkod.arith import primes_upto
-from gkod.catalog import GroupId, order_terms, order_value
+from gkod.catalog import GroupId, order_terms, order_value, parse_label
 from gkod.oracle import (
     DEFAULT_SEED,
     ClosureError,
@@ -70,6 +70,7 @@ from gkod.spectra import (
     mu_S4,
     mu_U3,
     mu_alternating,
+    spectrum_of,
 )
 
 
@@ -575,13 +576,30 @@ def test_alternating_range_check():
 # ---------------------------------------------------------------------------
 # registry and the largest closures
 
+# each target, in registry order, and the simple group whose spectrum it
+# certifies
+_TARGET_GROUPS = {
+    "SL2_13": "L2(13)", "SL2_37": "L2(37)", "SL2_4": "L2(4)", "SL2_5": "L2(5)",
+    "SL2_7": "L2(7)", "SL2_9": "L2(9)", "SP4_5": "S4(5)", "SU3_3": "U3(3)",
+    "SU3_5": "U3(5)", "SU4_3": "U4(3)", "A5": "A5", "A6": "A6", "A7": "A7",
+    "A8": "A8", "A9": "A9", "A10": "A10",
+}
+
+
 def test_target_registry():
-    assert {"SU4_3", "SP4_5", "A7"} <= set(ORACLE_TARGETS)
+    assert ORACLE_TARGETS == tuple(_TARGET_GROUPS)
     with pytest.raises(ValueError):
         run_target("SL3_3")
 
 
-def test_heavy_sp4_5(oracle_runner):
+@pytest.mark.parametrize("name", list(_TARGET_GROUPS))
+def test_formula_side_is_spectrum_of(name, oracle_runner):
+    """The oracle certifies the dispatch that every gk command takes."""
+    g = parse_label(_TARGET_GROUPS[name])
+    assert oracle_runner(name).mu_formula == spectrum_of(g)
+
+
+def test_sp4_5(oracle_runner):
     res = oracle_runner("SP4_5")
     assert res.enumerated == 5**4 * (5**2 - 1) * (5**4 - 1) == 9360000
     assert res.match and res.mu_oracle.mu == (12, 13, 20, 30)

@@ -140,3 +140,30 @@ def test_every_private_helper_has_a_caller_in_src():
             for name, node in _private_definitions(tree)
             if used[name] == _references(node)[name]]
     assert not dead, f"private names with no use in src/: {dead}"
+
+
+def _assigned_value(tree, name):
+    """The value node of the module-level assignment to name."""
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets))
+
+
+def test_every_closed_form_is_dispatched():
+    """spectrum_of reaches each closed form through the one table
+    _CLOSED_FORMS, so a new mu_* routine is dispatched, and certified by
+    the oracle, once it is listed there."""
+    tree = ast.parse((SRC / "spectra.py").read_text())
+    forms = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("mu_")} - {"mu_alternating"}
+    table = _assigned_value(tree, "_CLOSED_FORMS")
+    dispatched = {v.id for v in table.values if isinstance(v, ast.Name)}
+    assert forms and forms <= dispatched, forms - dispatched
+
+
+def test_oracle_imports_no_closed_form():
+    """The oracle's formula side is spectrum_of, never a mu_* by name."""
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    named = [m for m in _imported_modules(ast.walk(tree))
+             if m.rsplit(".", 1)[-1].startswith("mu_")]
+    assert not named, f"oracle.py imports {named}"

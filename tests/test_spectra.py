@@ -105,7 +105,12 @@ def test_spectrum_dispatch():
     assert spectrum_of(parse_label("A38")) == mu_alternating(38)
     with pytest.raises(SpectrumNotImplementedError) as err:
         spectrum_of(parse_label("2G2(27)"))
-    assert "2G2" in str(err.value)
+    assert str(err.value) == ("no spectrum implemented for family '2G2' "
+                              "(covered: Alt, L2, U3, U4, S4, G2)")
+    with pytest.raises(SpectrumNotImplementedError) as err:
+        spectrum_of(parse_label("L3(4)"))
+    assert str(err.value) == ("no spectrum implemented for family 'L3' "
+                              "(covered: Alt, L2, U3, U4, S4, G2)")
 
 
 def test_spectrum_type_enforces_antichain():
