@@ -140,9 +140,17 @@ def sporadic_order(name: str) -> Factorization:
 # validation and canonical form
 
 def validate_group(g: GroupId) -> None:
-    """Raise ParameterError unless g names a finite simple group."""
+    """Raise ParameterError unless g names a finite simple group, with
+    no field that its family does not use: A takes n, Spor a name, the
+    classical families n and q, the exceptional ones q alone."""
     if g.family not in FAMILIES:
         raise ParameterError(f"unknown family {g.family!r}")
+    used = {"A": ("n",), "Spor": ("name",)}.get(
+        g.family, ("n", "q") if g.family in _DIMENSIONS else ("q",))
+    for field in ("n", "q", "name"):
+        if getattr(g, field) is not None and field not in used:
+            raise ParameterError(f"{g.family} takes no {field} "
+                                 f"(given {getattr(g, field)!r})")
     if g.family == "A":
         if g.n is None or g.n < 5:
             raise ParameterError("alternating groups require degree n >= 5")

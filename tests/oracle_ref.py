@@ -12,7 +12,8 @@ linear group and its least coset keys, an exhaustive per-element order
 scan on it, row tables by one batch multiply of every row value,
 order-by-exponent arithmetic, the hand-coded unitary and
 symplectic form checks that the one (Gram, sigma) isometry check
-replaced, the conjugation map by binary search, the permutation scan
+replaced, the conjugation map by binary search, class labels propagated
+over the whole label array at once, the permutation scan
 that follows every point with one gather per step, and the
 per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
@@ -74,6 +75,8 @@ from gkod.oracle import (
     _apply,
     _batch_mul,
     _bits_for,
+    _center_tables,
+    _conjugation_map,
     _inverse_transpose,
     _least_coset_key,
     _pack,
@@ -410,6 +413,24 @@ def conjugation_map_searchsorted(group, g, scalars):
     return out
 
 
+def class_labels_whole_array(group):
+    """gkod.oracle.conjugacy_classes by the propagation it replaced: each
+    pass takes the minimum along every map and then jumps pointers, both
+    over the whole label array at once, and compares the result with a
+    copy taken before the pass."""
+    scalars = _center_tables(group.field, group.dim, _bits_for(group.field),
+                             group.center_scalars)
+    maps = [_conjugation_map(group, g, scalars) for g in group.generators]
+    label = np.arange(group.elements.size, dtype=np.int32)
+    while True:
+        prev = label.copy()
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+        label = label[label]
+        if np.array_equal(label, prev):
+            return label
+
+
 def cycle_length_masks_gather(perm):
     """The distinct cycle-length masks among the rows of perm (bit t set
     iff the row has a cycle of length t), following every point at once:
@@ -574,16 +595,33 @@ def lex_least_witness_scan(g, t, force=None):
 
 def validate_group_branchy(g):
     """validate_group with a branch of its own for each family, as it was
-    before the classical ranges were read off one dimension table."""
+    before the classical ranges were read off one dimension table, and a
+    test of its own for each field that a family does not use."""
+    def stray(field):
+        return ParameterError(f"{g.family} takes no {field} "
+                              f"(given {getattr(g, field)!r})")
+
     if g.family not in FAMILIES:
         raise ParameterError(f"unknown family {g.family!r}")
     if g.family == "A":
+        if g.q is not None:
+            raise stray("q")
+        if g.name is not None:
+            raise stray("name")
         if g.n is None or g.n < 5:
             raise ParameterError("alternating groups require degree n >= 5")
         return
     if g.family == "Spor":
+        if g.n is not None:
+            raise stray("n")
+        if g.q is not None:
+            raise stray("q")
         sporadic_order(g.name)
         return
+    if g.family not in ("L", "U", "S", "O", "O+", "O-") and g.n is not None:
+        raise stray("n")
+    if g.name is not None:
+        raise stray("name")
     pk = prime_power(g.q) if g.q else None
     if pk is None:
         raise ParameterError(f"q = {g.q} is not a prime power")

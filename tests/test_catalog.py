@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import time
 from importlib.resources import files
 
@@ -113,6 +114,18 @@ def test_validation_rejects_nonsimple_parameters():
             validate_group(bad)
 
 
+def test_validation_rejects_stray_fields():
+    # each would otherwise name a group that a canonical id also names
+    for bad, text in ((GroupId("G2", n=5, q=11), "G2 takes no n (given 5)"),
+                      (GroupId("A", n=7, q=4), "A takes no q (given 4)"),
+                      (GroupId("Spor", n=1, name="M11"), "Spor takes no n (given 1)"),
+                      (GroupId("Spor", q=4, name="M11"), "Spor takes no q (given 4)"),
+                      (GroupId("L", n=2, q=7, name="M11"),
+                       "L takes no name (given 'M11')")):
+        with pytest.raises(ParameterError, match=re.escape(text)):
+            validate_group(bad)
+
+
 def _outcome(validate, g):
     try:
         validate(g)
@@ -122,13 +135,14 @@ def _outcome(validate, g):
 
 
 def test_validate_group_matches_branchy_reference():
-    # every family and an unknown one, over dimensions and field sizes on
-    # both sides of each range's edges; the exceptional families get stray
-    # dimensions too
+    # every family and an unknown one, over dimensions, field sizes and
+    # names on both sides of each range's edges, so that every family also
+    # meets the fields it does not use: n on the exceptional families and
+    # Spor, q on A and Spor, a name outside Spor
     ns = (None, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     qs = (None, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27, 32, 81, 128, 243)
     for family in FAMILIES + ("X",):
-        names = ("M11", "M25", None) if family == "Spor" else (None,)
+        names = ("M11", "M25", None) if family == "Spor" else ("M11", None)
         for n, q, name in itertools.product(ns, qs, names):
             g = GroupId(family, n=n, q=q, name=name)
             assert _outcome(validate_group, g) == _outcome(validate_group_branchy, g), g

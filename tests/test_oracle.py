@@ -8,6 +8,7 @@ import pytest
 import numpy as np
 from oracle_ref import (
     alternating_orders_loop,
+    class_labels_whole_array,
     conjugation_map_searchsorted,
     cycle_length_mask_loop,
     cycle_length_masks_gather,
@@ -42,6 +43,7 @@ from gkod.oracle import (
     _MATRIX_TARGETS,
     _bits_for,
     _center_tables,
+    _close_once,
     _conjugation_map,
     _cycle_length_masks,
     _even_odd_permutations,
@@ -182,14 +184,17 @@ def test_closure_deterministic_with_seed():
     assert (a.elements == b.elements).all()
 
 
-def test_closure_overshoot_is_form_violation():
+def test_closure_overshoot_is_form_violation(monkeypatch):
     # the two transvections generate SL2(5); the determinant-2 matrix
-    # escapes it, so the closure must blow past the 120 target
+    # escapes it, so the closure must blow past the 120 target, also when
+    # each level is built in pieces of three keys
     F = make_field(5, 1)
     transvections = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
     bad = ((2, 0), (0, 1))
-    with pytest.raises(FormViolationError):
-        closure(transvections + [bad], 120, F, 2)
+    for chunk in (oracle._CHUNK, 3):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        with pytest.raises(FormViolationError):
+            closure(transvections + [bad], 120, F, 2)
 
 
 def test_closure_target_above_max_closure():
@@ -209,13 +214,19 @@ _SIMPLE_QUOTIENT = {"SL2": ("L", 2), "SU3": ("U", 3), "SU4": ("U", 4),
                     "SP4": ("S", 4)}
 
 
+@lru_cache(maxsize=None)
+def _default_group(name):
+    """The registered target built at DEFAULT_SEED, once per session."""
+    return _MATRIX_TARGETS[name][0](seed=DEFAULT_SEED)
+
+
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
 def test_closure_certifies_catalog_order(name):
     """Each closure reaches |S| cosets of a centre of order d, for the
     simple group S and the d of the catalog's order terms."""
     head, q = name.split("_")
     family, n = _SIMPLE_QUOTIENT[head]
-    grp = _MATRIX_TARGETS[name][0](seed=DEFAULT_SEED)
+    grp = _default_group(name)
     assert len(grp.center_scalars) == order_terms(family, n, int(q))[2]
     assert grp.elements.size == order_value(GroupId(family, n=n, q=int(q)))
 
@@ -352,11 +363,17 @@ def test_class_scan_matches_exhaustive_scan(name):
 
 
 @pytest.mark.parametrize("name", ["SL2_5", "SL2_7", "SU3_2", "SU3_3"])
-def test_row_table_closure_matches_scalar_bfs(name):
+def test_row_table_closure_matches_scalar_bfs(name, monkeypatch):
+    """Also when each level is built in pieces of 97 or 4099 keys."""
     grp, full = _reference(name)
     assert grp.order == len(full)
     want = least_coset_keys(grp.field, full, scalars_in(full))
     assert np.array_equal(grp.elements, want)
+    for chunk in (97, 4099):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        got = _close_once(grp.field, grp.dim, grp.generators,
+                          grp.elements.size, grp.center_scalars)
+        assert np.array_equal(got, want), chunk
 
 
 # field (p, k) and dimension n of every registered matrix target
@@ -417,9 +434,10 @@ def test_projective_class_counts(q):
     assert np.unique(label).size == (q + 5) // 2
 
 
-def test_conjugate_outside_elements_is_form_violation():
+def test_conjugate_outside_elements_is_form_violation(monkeypatch):
     # drop one non-central element: the generator that does not commute
-    # with it maps another element's conjugate onto the missing key
+    # with it maps another element's conjugate onto the missing key; the
+    # check must catch it whole and in pieces of three keys
     grp = sl2_group(5)
     key = _pack(np.array([((1, 1), (0, 1))], dtype=np.uint16),
                 _bits_for(grp.field))
@@ -427,8 +445,10 @@ def test_conjugate_outside_elements_is_form_violation():
     broken = MatrixGroup(grp.field, grp.dim, grp.generators,
                          grp.elements[grp.elements != key[0]],
                          grp.center_scalars)
-    with pytest.raises(FormViolationError):
-        conjugacy_classes(broken)
+    for chunk in (oracle._CHUNK, 3):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        with pytest.raises(FormViolationError):
+            conjugacy_classes(broken)
 
 
 def test_conjugate_of_a_key_outside_the_group_is_form_violation():
@@ -455,7 +475,7 @@ _BENCH_TARGETS = ["SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13", "SL2_37",
                   "SU3_3", "SU3_5"]
 
 
-@pytest.mark.parametrize("chunk", [None, 4099])
+@pytest.mark.parametrize("chunk", [None, 97, 4099])
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 @pytest.mark.parametrize("name", _BENCH_TARGETS)
 def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
@@ -473,6 +493,31 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
     label = conjugacy_classes(grp)
     monkeypatch.setattr(oracle, "_conjugation_map", conjugation_map_searchsorted)
     assert np.array_equal(label, conjugacy_classes(grp))
+
+
+@pytest.mark.parametrize("chunk", [97, 4099])
+@pytest.mark.parametrize("name", _BENCH_TARGETS)
+def test_pieces_change_no_closure_and_no_label(name, chunk, monkeypatch):
+    """In pieces of chunk keys, many of them and a ragged last one, the
+    closure gives the elements of the default piece size, and the class
+    labels are those of the whole-array propagation."""
+    build = _MATRIX_TARGETS[name][0]
+    want = build(seed=7)
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    grp = build(seed=7)
+    assert grp.generators == want.generators
+    assert np.array_equal(grp.elements, want.elements)
+    assert np.array_equal(conjugacy_classes(grp), class_labels_whole_array(grp))
+
+
+@pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
+def test_class_labels_match_whole_array_reference(name):
+    """The in-place propagation reaches the labels of the whole-array one
+    on every registered target, each built once (_default_group)."""
+    grp = _default_group(name)
+    label = conjugacy_classes(grp)
+    assert label.dtype == np.int32
+    assert np.array_equal(label, class_labels_whole_array(grp))
 
 
 def test_spectrum_mod_center_support():
