@@ -49,6 +49,11 @@ _DIMENSIONS = {"L": (2, 1), "U": (3, 1), "S": (4, 2), "O": (7, 2),
                "O+": (8, 2), "O-": (8, 2)}
 # the classical groups in range that are not simple
 _NOT_SIMPLE = {("L", 2, 2), ("L", 2, 3), ("U", 3, 2), ("S", 4, 2)}
+# the fields of GroupId that a family leaves unset, in field order: A has
+# no q, Spor no n or q, a classical family no name, and an exceptional one
+# (the default) no n and no name
+_UNUSED_FIELDS = {"A": ("q", "name"), "Spor": ("n", "q"),
+                  **dict.fromkeys(_DIMENSIONS, ("name",))}
 
 
 class ParameterError(ValueError):
@@ -141,14 +146,11 @@ def sporadic_order(name: str) -> Factorization:
 
 def validate_group(g: GroupId) -> None:
     """Raise ParameterError unless g names a finite simple group, with
-    no field that its family does not use: A takes n, Spor a name, the
-    classical families n and q, the exceptional ones q alone."""
+    no field set that its family does not use (_UNUSED_FIELDS)."""
     if g.family not in FAMILIES:
         raise ParameterError(f"unknown family {g.family!r}")
-    used = {"A": ("n",), "Spor": ("name",)}.get(
-        g.family, ("n", "q") if g.family in _DIMENSIONS else ("q",))
-    for field in ("n", "q", "name"):
-        if getattr(g, field) is not None and field not in used:
+    for field in _UNUSED_FIELDS.get(g.family, ("n", "name")):
+        if getattr(g, field) is not None:
             raise ParameterError(f"{g.family} takes no {field} "
                                  f"(given {getattr(g, field)!r})")
     if g.family == "A":

@@ -26,9 +26,9 @@ whole.  Memory (tracemalloc) peaks near 22 bytes per coset in the
 closure, at the insert of its largest level, and near 28 in the class
 scan, while a conjugation map sorts the conjugates.  The largest
 registered targets, SU_4(3) (3.27e6 cosets of 1.31e7 elements) and
-Sp_4(5) (4.68e6 of 9.36e6), take about 1.0 and 1.4 s of closure and 1.4
-and 1.8 s of class scan on a 2-vCPU Xeon host, and peak near 0.13 and
-0.17 GB of RSS.  The permutation scan builds the block of even
+Sp_4(5) (4.68e6 of 9.36e6), take about 1.3 and 1.5 s of closure and 1.6
+and 2.0 s of class scan on a 2-vCPU Xeon host, and peak near 0.14 and
+0.18 GB of RSS.  The permutation scan builds the block of even
 permutations with first entry k from the even or odd (as k is) ones of
 the other points, and walks the cycles of all its rows together.
 

@@ -479,11 +479,18 @@ _BENCH_TARGETS = ["SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13", "SL2_37",
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 @pytest.mark.parametrize("name", _BENCH_TARGETS)
 def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
-    """Equal maps for every generator, and equal class labels; with a
-    chunk, the conjugates, the check and the scatter go in many pieces."""
+    """Maps equal to the binary-search ones for every generator, and class
+    labels equal to the whole-array propagation and to those from the
+    binary-search maps.  With a chunk, every pass of the closure and the
+    scan goes in many pieces, the last one ragged, and the closure must
+    give the elements of the default piece size."""
+    build = _MATRIX_TARGETS[name][0]
+    grp = build(seed=seed)
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    grp = _MATRIX_TARGETS[name][0](seed=seed)
+        default, grp = grp, build(seed=seed)
+        assert grp.generators == default.generators
+        assert np.array_equal(grp.elements, default.elements)
     scalars = _center_tables(grp.field, grp.dim, _bits_for(grp.field),
                              grp.center_scalars)
     for g in grp.generators:
@@ -491,23 +498,9 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
         want = conjugation_map_searchsorted(grp, g, scalars)
         assert got.dtype == want.dtype and np.array_equal(got, want), g
     label = conjugacy_classes(grp)
+    assert np.array_equal(label, class_labels_whole_array(grp))
     monkeypatch.setattr(oracle, "_conjugation_map", conjugation_map_searchsorted)
     assert np.array_equal(label, conjugacy_classes(grp))
-
-
-@pytest.mark.parametrize("chunk", [97, 4099])
-@pytest.mark.parametrize("name", _BENCH_TARGETS)
-def test_pieces_change_no_closure_and_no_label(name, chunk, monkeypatch):
-    """In pieces of chunk keys, many of them and a ragged last one, the
-    closure gives the elements of the default piece size, and the class
-    labels are those of the whole-array propagation."""
-    build = _MATRIX_TARGETS[name][0]
-    want = build(seed=7)
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    grp = build(seed=7)
-    assert grp.generators == want.generators
-    assert np.array_equal(grp.elements, want.elements)
-    assert np.array_equal(conjugacy_classes(grp), class_labels_whole_array(grp))
 
 
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
