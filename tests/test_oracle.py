@@ -216,7 +216,7 @@ _SIMPLE_QUOTIENT = {"SL2": ("L", 2), "SU3": ("U", 3), "SU4": ("U", 4),
 
 @lru_cache(maxsize=None)
 def _default_group(name):
-    """The registered target built at DEFAULT_SEED, once per session."""
+    """The registered target built at DEFAULT_SEED, once per test run."""
     return _MATRIX_TARGETS[name][0](seed=DEFAULT_SEED)
 
 
