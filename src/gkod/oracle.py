@@ -26,15 +26,16 @@ whole.  Memory (tracemalloc) peaks near 22 bytes per coset in the
 closure, at the insert of its largest level, and near 28 in the class
 scan, while a conjugation map sorts the conjugates.  The largest
 registered targets, SU_4(3) (3.27e6 cosets of 1.31e7 elements) and
-Sp_4(5) (4.68e6 of 9.36e6), take about 1.3 and 1.5 s of closure and 1.6
-and 2.0 s of class scan on a 2-vCPU Xeon host, and peak near 0.14 and
+Sp_4(5) (4.68e6 of 9.36e6), take about 1.0 and 1.1 s of closure and 1.2
+and 1.5 s of class scan on a 2-vCPU Xeon host, and peak near 0.14 and
 0.18 GB of RSS.  The permutation scan builds the block of even
 permutations with first entry k from the even or odd (as k is) ones of
-the other points, and walks the cycles of all its rows together.
+the other points, and walks the cycles of _CHUNK of its rows together.
 
 Every matrix group here is the det-1 isometry group of a (Gram, sigma)
 form B(u, v) = u^T gram sigma(v), sigma(x) = x^e: SL_n has no form, SU_n
-the identity Gram with e = q, Sp_4 the alternating Omega with e = 1.
+the identity Gram with e = q, Sp_n the alternating Omega with e = 1;
+matrix_group is the one place where a family chooses field and form.
 Generators are obtained by seeded rejection sampling of such isometries
 (random_isometry) rather than from transcribed literature generators;
 the closure size certificate makes the construction self-checking, and
@@ -57,8 +58,7 @@ DEFAULT_SEED = 0xA11CE
 TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
 MAX_CLOSURE = 1 << 24     # covers SU_4(3), 13,063,680 elements
 MAX_RETRIES = 6
-_CHUNK = 1 << 15
-_PERM_CHUNK = 1 << 15     # rows per permutation pass
+_CHUNK = 1 << 15          # keys or permutation rows per numpy pass
 
 
 class FormViolationError(RuntimeError):
@@ -67,7 +67,9 @@ class FormViolationError(RuntimeError):
 
 
 class ClosureError(RuntimeError):
-    """Could not reach the target order within the retry budget."""
+    """An enumeration fell short of its certified count: a closure stalled
+    below its target order within the retry budget, or the permutation
+    scan walked other than n!/2 even permutations."""
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +660,23 @@ def alternating_orders_bruteforce(n: int) -> list:
     The even permutations that start with k continue with the even
     permutations of n - 1 points for even k and the odd ones for odd k,
     relabelled past k (_even_odd_permutations); each such block is built
-    in turn, and every even permutation's cycles are walked,
-    in chunks of _PERM_CHUNK rows, and its order is the lcm of its cycle
-    lengths.  Independent of the prime-power criterion in
+    in turn, and every even permutation's cycles are walked, in _CHUNK
+    rows at a time, and its order is the lcm of its cycle lengths.  The
+    rows walked must add up to |A_n| = n!/2 (order_value), else
+    ClosureError.  Independent of the prime-power criterion in
     spectra.mu_alternating."""
     if not 5 <= n <= 10:
         raise ValueError("permutation scan supports 5 <= n <= 10")
     tails = _even_odd_permutations(n - 1)
-    masks = set()
+    masks, walked = set(), 0
     for k in range(n):
         block = _with_first(k, tails[k % 2])
-        for lo in range(0, len(block), _PERM_CHUNK):
-            masks.update(_cycle_length_masks(block[lo:lo + _PERM_CHUNK]).tolist())
+        walked += len(block)
+        for lo in range(0, len(block), _CHUNK):
+            masks.update(_cycle_length_masks(block[lo:lo + _CHUNK]).tolist())
+    if walked != (want := order_value(GroupId("A", n=n))):
+        raise ClosureError(f"the permutation scan walked {walked} of the "
+                           f"{want} even permutations of {n} points")
     return sorted({lcm(*(t for t in range(1, n + 1) if m >> t & 1))
                    for m in masks})
 
@@ -681,37 +688,31 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 # ---------------------------------------------------------------------------
 # named targets
 
-def _sampled_closure(F, family, dim, q, seed, gram=None, e=1):
-    """Closure, modulo the form's scalars, of two isometries of
-    (gram, sigma) drawn from a seeded rng, which also draws any extra
-    generator on an undershoot, up to prefix * prod(terms) of order_terms."""
-    prefix, terms, _ = order_terms(family, dim, q)
-    sample = partial(random_isometry, F, dim, random.Random(seed), gram, e)
-    return closure([sample(), sample()], prod(terms, start=prefix), F, dim,
-                   sample, form_center(F, dim, gram, e))
+def matrix_group(g: GroupId, seed: int = DEFAULT_SEED) -> MatrixGroup:
+    """SL_n(q), SU_n(q) in GL_n(q^2) or Sp_n(q) for g = L, U or S, closed
+    modulo its centre (form_center) up to prefix * prod(terms) of g's
+    order_terms, so that G/Z is g.  A seeded rng draws two generators, and
+    any extra one on an undershoot, by random_isometry."""
+    (p, k), n, gram, e = prime_power(g.q), g.n, None, 1
+    if g.family == "U":
+        k, gram, e = 2 * k, _scalar_matrix(n), g.q
+    F = make_field(p, k)
+    if g.family == "S":
+        h, m = n // 2, F.neg(1)
+        gram = tuple(tuple(1 if j == i + h else m if i == j + h else 0
+                           for j in range(n)) for i in range(n))
+    prefix, terms, _ = order_terms(g.family, n, g.q)
+    sample = partial(random_isometry, F, n, random.Random(seed), gram, e)
+    return closure([sample(), sample()], prod(terms, start=prefix), F, n,
+                   sample, form_center(F, n, gram, e))
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """SL_2(q) by closure, certified by the order of L2(q) times its centre."""
-    F = make_field(*prime_power(q))
-    return _sampled_closure(F, "L", 2, q, seed)
+    return matrix_group(GroupId("L", n=2, q=q), seed)
 
 
 def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """SU_n(q) inside GL_n(q^2), the isometries of the identity Gram form
-    with sigma(x) = x^q, certified by the order terms of U_n(q)."""
-    p, k = prime_power(q)
-    F = make_field(p, 2 * k)
-    return _sampled_closure(F, "U", n, q, seed, _scalar_matrix(n), q)
-
-
-def sp4_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
-    """Sp_4(q), the isometries of Omega = [[0, I], [-I, 0]], certified by
-    the order terms of S4(q)."""
-    F = make_field(*prime_power(q))
-    m = F.neg(1)
-    omega = ((0, 0, 1, 0), (0, 0, 0, 1), (m, 0, 0, 0), (0, m, 0, 0))
-    return _sampled_closure(F, "S", 4, q, seed, omega)
+    return matrix_group(GroupId("U", n=n, q=q), seed)
 
 
 @dataclass(frozen=True)
@@ -723,19 +724,14 @@ class OracleResult:
     match: bool
 
 
-_MATRIX_TARGETS = {
-    # name: (group constructor taking seed=, the simple group G/Z(G))
-    "SL2_4": (partial(sl2_group, 4), GroupId("L", n=2, q=4)),
-    "SL2_5": (partial(sl2_group, 5), GroupId("L", n=2, q=5)),
-    "SL2_7": (partial(sl2_group, 7), GroupId("L", n=2, q=7)),
-    "SL2_9": (partial(sl2_group, 9), GroupId("L", n=2, q=9)),
-    "SL2_13": (partial(sl2_group, 13), GroupId("L", n=2, q=13)),
-    "SL2_37": (partial(sl2_group, 37), GroupId("L", n=2, q=37)),
-    "SU3_3": (partial(su_group, 3, 3), GroupId("U", n=3, q=3)),
-    "SU3_5": (partial(su_group, 3, 5), GroupId("U", n=3, q=5)),
-    "SU4_3": (partial(su_group, 4, 3), GroupId("U", n=4, q=3)),
-    "SP4_5": (partial(sp4_group, 5), GroupId("S", n=4, q=5)),
-}
+# family -> name prefix of its matrix group
+_GROUP_PREFIX = {"L": "SL", "U": "SU", "S": "SP"}
+
+# name: the simple group G/Z(G) of the matrix group G that the target closes
+_MATRIX_TARGETS = {f"{_GROUP_PREFIX[g.family]}{g.n}_{g.q}": g for g in (
+    *(GroupId("L", n=2, q=q) for q in (4, 5, 7, 9, 13, 37)),
+    GroupId("U", n=3, q=3), GroupId("U", n=3, q=5), GroupId("U", n=4, q=3),
+    GroupId("S", n=4, q=5))}
 
 ORACLE_TARGETS = (*sorted(_MATRIX_TARGETS), *(f"A{n}" for n in range(5, 11)))
 
@@ -746,8 +742,8 @@ def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
         raise ValueError(f"unknown oracle target {name!r} "
                          f"(known: {', '.join(ORACLE_TARGETS)})")
     if name in _MATRIX_TARGETS:
-        build, g = _MATRIX_TARGETS[name]
-        grp = build(seed=seed)
+        g = _MATRIX_TARGETS[name]
+        grp = matrix_group(g, seed)
         enumerated, mu_o = grp.order, spectrum_mod_center(grp)
     else:
         g = GroupId("A", n=int(name[1:]))

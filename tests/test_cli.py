@@ -196,6 +196,28 @@ def test_unknown_family_selector(capsys):
     assert capsys.readouterr().err == "gk: q = -5 is not a prime power\n"
 
 
+def _oracle_golden():
+    """The stdout of `gk oracle <name>` at the default seed, by name: four
+    lines a target in tests/golden/oracle.txt, the first naming it."""
+    lines = (GOLDEN_DIR / "oracle.txt").read_bytes().splitlines(keepends=True)
+    return {lines[i].split(b":")[0].decode(): b"".join(lines[i:i + 4])
+            for i in range(0, len(lines), 4)}
+
+
+ORACLE_GOLDEN = _oracle_golden()
+
+
+def test_oracle_golden_covers_every_target():
+    assert tuple(ORACLE_GOLDEN) == ORACLE_TARGETS
+
+
+@pytest.mark.parametrize("name", ORACLE_TARGETS)
+def test_oracle_matches_golden_bytes(capsys, monkeypatch, cached_oracle, name):
+    monkeypatch.delenv("GK_SEED", raising=False)
+    assert main(["oracle", name]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == ORACLE_GOLDEN[name]
+
+
 def test_oracle_small_target(capsys):
     assert main(["oracle", "SL2_5"]) == 0
     out = capsys.readouterr().out

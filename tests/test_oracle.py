@@ -59,10 +59,10 @@ from gkod.oracle import (
     is_isometry,
     make_field,
     mat_det,
+    matrix_group,
     random_isometry,
     run_target,
     sl2_group,
-    sp4_group,
     spectrum_mod_center,
     su_group,
 )
@@ -209,26 +209,21 @@ def test_closure_undershoot_without_sampler():
         closure([unipotent], 120, F, 2)
 
 
-# the simple quotient G/Z of each matrix target's group G, by name prefix
-_SIMPLE_QUOTIENT = {"SL2": ("L", 2), "SU3": ("U", 3), "SU4": ("U", 4),
-                    "SP4": ("S", 4)}
-
-
 @lru_cache(maxsize=None)
 def _default_group(name):
     """The registered target built at DEFAULT_SEED, once per test run."""
-    return _MATRIX_TARGETS[name][0](seed=DEFAULT_SEED)
+    return matrix_group(_MATRIX_TARGETS[name], DEFAULT_SEED)
 
 
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
 def test_closure_certifies_catalog_order(name):
     """Each closure reaches |S| cosets of a centre of order d, for the
-    simple group S and the d of the catalog's order terms."""
-    head, q = name.split("_")
-    family, n = _SIMPLE_QUOTIENT[head]
-    grp = _default_group(name)
-    assert len(grp.center_scalars) == order_terms(family, n, int(q))[2]
-    assert grp.elements.size == order_value(GroupId(family, n=n, q=int(q)))
+    simple group S and the d of the catalog's order terms, over the field
+    and in the dimension _TARGET_SHAPES states for its name."""
+    g, grp = _MATRIX_TARGETS[name], _default_group(name)
+    assert (grp.field.p, grp.field.k, grp.dim) == _TARGET_SHAPES[name]
+    assert len(grp.center_scalars) == order_terms(g.family, g.n, g.q)[2]
+    assert grp.elements.size == order_value(g)
 
 
 @pytest.mark.parametrize("wrong", [lambda q, terms: terms + [q + 1],
@@ -318,15 +313,28 @@ def test_sampled_non_isometry_is_form_violation(monkeypatch):
         sl2_group(5)
 
 
+@pytest.mark.parametrize("g,ref", [
+    (GroupId("L", n=2, q=9), lambda F, M: mat_det(F, M) == 1),
+    (GroupId("U", n=3, q=3), is_special_unitary),
+    (GroupId("S", n=4, q=3), is_symplectic4)], ids=["L2_9", "U3_3", "S4_3"])
+def test_matrix_group_keeps_the_hand_coded_form(g, ref):
+    """Generators, the sampled extra ones included, pass the reference
+    check of their family, over F_q (F_{q^2} for U)."""
+    grp = matrix_group(g)
+    assert grp.field.q == g.q ** (2 if g.family == "U" else 1)
+    assert all(ref(grp.field, M) for M in grp.generators)
+
+
 def test_sp4_3_is_u4_2():
     """PSp4(3) = U4(2) (ATLAS): |Sp4(3)| = 51,840, centre +-1, and mu
     {5, 9, 12}."""
-    grp = sp4_group(3)
+    grp = matrix_group(GroupId("S", n=4, q=3))
     assert grp.order == 51840 and grp.center_scalars == (1, 2)
     assert spectrum_mod_center(grp).mu == (5, 9, 12)
 
 
-@pytest.mark.parametrize("build", [partial(sp4_group, 3), partial(su_group, 3, 3),
+@pytest.mark.parametrize("build", [partial(matrix_group, GroupId("S", n=4, q=3)),
+                                   partial(su_group, 3, 3),
                                    partial(sl2_group, 7), partial(su_group, 3, 2)],
                          ids=["SP4_3", "SU3_3", "SL2_7", "SU3_2"])
 def test_elements_independent_of_seed(build):
@@ -484,7 +492,7 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
     binary-search maps.  With a chunk, every pass of the closure and the
     scan goes in many pieces, the last one ragged, and the closure must
     give the elements of the default piece size."""
-    build = _MATRIX_TARGETS[name][0]
+    build = partial(matrix_group, _MATRIX_TARGETS[name])
     grp = build(seed=seed)
     if chunk is not None:
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -530,7 +538,7 @@ def test_first_scalar_power_of_a_class_lies_in_the_center(name, seed):
     """spectrum_mod_center drops a representative at its first scalar
     power, which counts as the order modulo Z only if that scalar is in
     Z: every scalar matrix of G is one of group.center_scalars."""
-    grp = _MATRIX_TARGETS[name][0](seed=seed)
+    grp = matrix_group(_MATRIX_TARGETS[name], seed)
     label = conjugacy_classes(grp)
     reps = _unpack(grp.elements[label == np.arange(label.size)], grp.dim,
                    _bits_for(grp.field))
@@ -562,7 +570,7 @@ def test_permutation_scan_matches_loop(n):
 
 @pytest.mark.parametrize("n", range(5, 10))
 def test_cycle_length_masks_match_gather_scan(n, monkeypatch):
-    """On every _PERM_CHUNK block the scan meets, the same masks as the
+    """On every _CHUNK piece of rows the scan meets, the same masks as the
     all-points gather scan it replaced."""
     rows = []
 
@@ -604,6 +612,20 @@ def test_even_mask_matches_inversion_parity(n):
     for got, want in zip(_even_odd_permutations(n), split):
         assert got.dtype == np.uint8 and got.shape == (len(want), n)
         assert [tuple(row) for row in got.tolist()] == want
+
+
+def test_permutation_scan_missing_a_row_is_closure_error(monkeypatch):
+    """Without the first even permutation of five points, the blocks of A6
+    that start with 0, 2 or 4 lose a row each, and the scan raises."""
+    real = oracle._even_odd_permutations
+
+    def short(m):
+        even, odd = real(m)
+        return even[1:], odd
+
+    monkeypatch.setattr(oracle, "_even_odd_permutations", short)
+    with pytest.raises(ClosureError):
+        alternating_orders_bruteforce(6)
 
 
 def test_alternating_range_check():
