@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log2, prod
 
-DEFAULT_PRIME_BOUND = 37
 MAX_PRIME_BOUND = 10_000
 # primes per trial-division block of factorize
 _BLOCK = 24
@@ -282,7 +281,7 @@ def _prime_blocks(bound: int) -> tuple:
                  for i in range(0, len(ps), _BLOCK))
 
 
-def factorize(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Factorization:
+def factorize(n: int, prime_bound: int) -> Factorization:
     """Factor n by trial division over primes <= prime_bound.
 
     The primes go in blocks of _BLOCK consecutive ones; a block whose
@@ -332,7 +331,7 @@ def _primorial(bound: int) -> int:
     return prod(primes_upto(bound))
 
 
-def is_smooth(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
+def is_smooth(n: int, prime_bound: int) -> bool:
     """True iff every prime factor of n is <= prime_bound.
 
     Divides out d = gcd(n, primorial(prime_bound)) until d is 1; after the

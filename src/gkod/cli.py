@@ -1,6 +1,11 @@
 """Command-line front end: group spectra, prime graphs, catalog
 enumeration, oracle cross-checks and the mechanized case verification.
 
+Each command imports only the layers it runs.  Every command loads arith,
+catalog and spectra (spectra for the error boundary in main); `graph`
+adds the graph layer, `table1` and `verify` the graph layer and the
+verifier, and `oracle` the oracle, the only layer that needs numpy.
+
 Exit status: 0 on success (and verified cases), 1 on verification failure
 or a domain error (unsupported family, oracle mismatch), 2 on usage
 errors.  The environment variable GK_SEED (decimal or 0x-hex) overrides
@@ -8,16 +13,13 @@ the oracle sampling seed.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
-from . import catalog, graph, spectra, verifier
+from . import catalog
 from .arith import MAX_PRIME_BOUND, is_prime
 from .catalog import GroupId
-
-TABLE_GROUPS = tuple(verifier.CASE_PI)
 
 
 class DomainError(Exception):
@@ -47,19 +49,29 @@ def _seed() -> int:
 
 
 def _prime(text: str) -> int:
-    """argparse type for --max-prime: a prime, else a usage error."""
-    if not (text.isdecimal() and is_prime(int(text))):
+    """argparse type for --max-prime: a prime up to MAX_PRIME_BOUND, else a
+    usage error.  Above it order_of cannot fully factor the orders in S_p,
+    and the run time grows about as p^3."""
+    p = int(text) if text.isdecimal() else 0
+    if p > MAX_PRIME_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"{p} is above {MAX_PRIME_BOUND}, the largest supported bound")
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
-    return int(text)
+    return p
 
 
 def _json_print(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def cmd_table1(args) -> int:
+    from . import graph, spectra, verifier
+
     rows = [("S", "|S|", "mu(S)", "D(S)")]
-    for label in TABLE_GROUPS:
+    for label in verifier.CASE_PI:
         g = catalog.parse_label(label)
         order = catalog.order_of(g)
         mu = spectra.spectrum_of(g)
@@ -74,6 +86,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectra
+
     g = parse_selector(args.family, args.param)
     mu = spectra.spectrum_of(g)
     if args.json:
@@ -84,6 +98,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import graph, spectra
+
     g = parse_selector(args.family, args.param)
     # the spectrum first: it rejects out-of-range parameters without
     # computing an order (|A_n| for large n is slow to factorize)
@@ -159,6 +175,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verifier
+
     g = parse_selector(args.family, args.param)
     try:
         report = verifier.verify_case(g)
@@ -223,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("enumerate", help="simple groups with largest prime "
                                           "divisor p (complete for p <= "
                                           f"{catalog.CHARACTERISTIC_BOUND})")
-    ep.add_argument("--max-prime", type=_prime, default=37)
+    ep.add_argument("--max-prime", type=_prime, default=37,
+                    help=f"a prime p, 2 <= p <= {MAX_PRIME_BOUND} (default 37)")
     ep.add_argument("--json", action="store_true")
 
     vp = sub.add_parser("verify", help="mechanized case analysis")
@@ -248,6 +267,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "oracle": cmd_oracle,
     }[args.cmd]
+    from . import spectra
+
     # the one place where a domain error becomes "gk: ..." and exit 1
     try:
         return handler(args)

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from gkod import oracle
@@ -5,16 +7,39 @@ from gkod import oracle
 
 _ORACLE_CACHE = {}
 _run_target = oracle.run_target
+_matrix_group = oracle.matrix_group
+
+
+@lru_cache(maxsize=None)
+def _default_matrix_group(g):
+    """oracle.matrix_group(g) at DEFAULT_SEED, built once per test session."""
+    return _matrix_group(g, oracle.DEFAULT_SEED)
+
+
+@pytest.fixture(scope="session")
+def default_group():
+    """The registered matrix target of a name built at DEFAULT_SEED, from
+    the same session cache that oracle_runner's closures come from."""
+    return lambda name: _default_matrix_group(oracle._MATRIX_TARGETS[name])
+
+
+def _cached_matrix_group(g, seed=oracle.DEFAULT_SEED):
+    if seed == oracle.DEFAULT_SEED:
+        return _default_matrix_group(g)
+    return _matrix_group(g, seed)
 
 
 @pytest.fixture(scope="session")
 def oracle_runner():
     """Session-cached oracle runs; the big closures execute once even when
-    several tests compare against them."""
+    several tests compare against them.  run_target runs once per target,
+    and takes its matrix group from the default_group cache."""
 
     def run(name):
         if name not in _ORACLE_CACHE:
-            _ORACLE_CACHE[name] = _run_target(name)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "matrix_group", _cached_matrix_group)
+                _ORACLE_CACHE[name] = _run_target(name)
         return _ORACLE_CACHE[name]
 
     return run

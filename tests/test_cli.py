@@ -173,6 +173,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv,message", [
     (["spectrum", "A", "x"], "invalid int value: 'x'"),
     (["enumerate", "--max-prime", "4"], "'4' is not a prime"),
+    (["enumerate", "--max-prime", "10007"],
+     "10007 is above 10000, the largest supported bound"),
 ])
 def test_bad_argument_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -262,44 +264,87 @@ def test_oracle_help_and_unknown_target_lists_the_targets(capsys):
         assert named == list(ORACLE_TARGETS)
 
 
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
-from gkod.cli import main
-loaded = {}
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        status = main(argv)
-    loaded[" ".join(argv)] = [status, sorted(m for m in sys.modules
-                                             if m.split(".")[0] == "numpy")]
-print(json.dumps(loaded))
-"""
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def _modules_after(argvs):
-    """Exit status and loaded numpy modules after each of argvs, run in
-    order by main() in one fresh interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
+def _fresh(*args):
+    """Run `python -W error -X importtime *args` in a fresh interpreter
+    with gkod from src/ and GK_SEED unset: its stdout, its stderr without
+    the import-time lines, and every module it imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    env.pop("GK_SEED", None)
+    run = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", *args],
+                         env=env, capture_output=True, timeout=120)
+    imported, err = set(), []
+    for line in run.stderr.decode().splitlines(keepends=True):
+        if line.startswith("import time:"):
+            imported.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    assert run.returncode == 0, "".join(err)
+    return run.stdout, "".join(err), imported
 
 
-def test_commands_other_than_oracle_start_without_numpy():
-    loaded = _modules_after([
-        ["table1"], ["spectrum", "U3", "27"], ["graph", "S4", "31", "--json"],
-        ["enumerate", "--max-prime", "37"], ["verify", "G2", "11", "--json"]])
-    assert loaded == {cmd: [0, []] for cmd in loaded}
+def _gkod_modules(imported):
+    return {m for m in imported if m.split(".")[0] == "gkod"} - {"gkod.data"}
 
 
-def test_oracle_runs_without_numpy_ma():
-    """np.unique imports numpy.ma on its first call, 14 ms in a fresh
-    process; the oracle does without it."""
-    loaded = _modules_after([["oracle", "SL2_5"], ["oracle", "A6"]])
-    for status, modules in loaded.values():
-        assert status == 0 and "numpy" in modules
-        assert "numpy.ma" not in modules
+# every command loads gkod, arith, catalog and spectra (main's error
+# boundary names spectra's errors), then the layers of its own; numpy
+# loads for the oracle alone
+_BASE = {"gkod", "gkod.arith", "gkod.catalog", "gkod.spectra"}
+_COMMANDS = [
+    (["table1"], GOLDEN.read_bytes(), {"gkod.graph", "gkod.verifier"}),
+    (["graph", "U4", "31", "--json"], (GOLDEN_DIR / "graph_U4_31.json").read_bytes(),
+     {"gkod.graph"}),
+    (["graph", "U3", "27", "--dot"], (GOLDEN_DIR / "graph_U3_27.dot").read_bytes(),
+     {"gkod.graph"}),
+    (["verify", "G2", "11", "--json"], (GOLDEN_DIR / "verify_G2_11.json").read_bytes(),
+     {"gkod.graph", "gkod.verifier"}),
+    (["enumerate", "--max-prime", "37", "--json"], None, set()),
+    (["spectrum", "A", "38", "--json"], None, set()),
+    (["oracle", "SL2_5"], ORACLE_GOLDEN["SL2_5"], {"gkod.oracle"}),
+    (["oracle", "A6"], ORACLE_GOLDEN["A6"], {"gkod.oracle"}),
+]
+
+
+@pytest.mark.parametrize("argv,golden,layers", _COMMANDS,
+                         ids=[" ".join(c[0]) for c in _COMMANDS])
+def test_command_in_a_fresh_process(argv, golden, layers, capsys):
+    """In-process tests share sys.modules, so a handler that forgot one of
+    its imports would pass them; here each command starts from nothing.
+    Its stdout is the golden file's (or, without one, in-process main's),
+    it writes nothing to stderr (the tests' filterwarnings does not reach
+    a subprocess, -W error does) and it loads only its own layers.  np.unique
+    would import numpy.ma, 14 ms in a fresh process; the oracle does
+    without it."""
+    out, err, imported = _fresh("-m", "gkod.cli", *argv)
+    if golden is None:
+        assert main(argv) == 0
+        golden = capsys.readouterr().out.encode("utf-8")
+    assert out == golden
+    assert err == ""
+    assert _gkod_modules(imported) == _BASE | layers
+    assert ("numpy" in imported) == (argv[0] == "oracle")
+    assert "numpy.ma" not in imported
+
+
+_PASSRUN_SETUP = ("import gkod, gkod.cli; gkod.sporadic_order('M11'); "
+                  "gkod.canonicalize(gkod.GroupId('L', n=2, q=4))")
+
+
+@pytest.mark.parametrize("code,modules", [
+    ("import gkod", {"gkod"}),
+    (_PASSRUN_SETUP, {"gkod", "gkod.arith", "gkod.catalog", "gkod.cli"}),
+], ids=["import gkod", "gk setup"])
+def test_start_up_loads_no_layer_it_does_not_run(code, modules):
+    """`import gkod` loads no submodule; the start-up that every gk command
+    pays (bench/passrun.py's setup step: import gkod.cli, then the first
+    data-table load) loads arith and catalog alone, without numpy."""
+    out, err, imported = _fresh("-c", code)
+    assert out == b"" and err == ""
+    assert _gkod_modules(imported) == modules
+    assert "numpy" not in imported
 
 
 def test_gk_seed_env(monkeypatch, capsys):
@@ -344,7 +389,7 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += ["--max-prime", draw(st.sampled_from(
                 ("2", "3", "5", "7", "13", "37", "53", "97",
-                 "4", "1", "0", "-5", "x")))]
+                 "4", "1", "0", "-5", "x", "10007")))]
         return argv + (["--json"] if draw(st.booleans()) else [])
     argv = [cmd, draw(st.sampled_from(_FAMILIES)), draw(_PARAMS)]
     choices = ("--json", "--dot") if cmd == "graph" else ("--json",)

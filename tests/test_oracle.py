@@ -209,18 +209,12 @@ def test_closure_undershoot_without_sampler():
         closure([unipotent], 120, F, 2)
 
 
-@lru_cache(maxsize=None)
-def _default_group(name):
-    """The registered target built at DEFAULT_SEED, once per test run."""
-    return matrix_group(_MATRIX_TARGETS[name], DEFAULT_SEED)
-
-
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
-def test_closure_certifies_catalog_order(name):
+def test_closure_certifies_catalog_order(name, default_group):
     """Each closure reaches |S| cosets of a centre of order d, for the
     simple group S and the d of the catalog's order terms, over the field
     and in the dimension _TARGET_SHAPES states for its name."""
-    g, grp = _MATRIX_TARGETS[name], _default_group(name)
+    g, grp = _MATRIX_TARGETS[name], default_group(name)
     assert (grp.field.p, grp.field.k, grp.dim) == _TARGET_SHAPES[name]
     assert len(grp.center_scalars) == order_terms(g.family, g.n, g.q)[2]
     assert grp.elements.size == order_value(g)
@@ -512,10 +506,10 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
-def test_class_labels_match_whole_array_reference(name):
+def test_class_labels_match_whole_array_reference(name, default_group):
     """The in-place propagation reaches the labels of the whole-array one
-    on every registered target, each built once (_default_group)."""
-    grp = _default_group(name)
+    on every registered target, each built once (default_group)."""
+    grp = default_group(name)
     label = conjugacy_classes(grp)
     assert label.dtype == np.int32
     assert np.array_equal(label, class_labels_whole_array(grp))
