@@ -57,10 +57,13 @@ _UNUSED_FIELDS = {"A": ("q", "name"), "Spor": ("n", "q"),
 
 
 class ParameterError(ValueError):
-    """Parameters do not describe a simple group in the given family."""
+    """A request outside gkod's coverage: parameters that describe no
+    simple group in the given family, or a group, fact, spectrum or case
+    that gkod does not cover.  The root of every error that `gk` reports
+    as exit 1; an error that signals a broken invariant is not one."""
 
 
-class ScopeError(ValueError):
+class ScopeError(ParameterError):
     """A declaratively encoded fact was queried outside its encoded scope."""
 
 

@@ -1,29 +1,27 @@
 """Command-line front end: group spectra, prime graphs, catalog
 enumeration, oracle cross-checks and the mechanized case verification.
 
-Each command imports only the layers it runs.  Every command loads arith,
-catalog and spectra (spectra for the error boundary in main); `graph`
-adds the graph layer, `table1` and `verify` the graph layer and the
-verifier, and `oracle` the oracle, the only layer that needs numpy.
+Each command imports only the layers it runs.  `enumerate` loads arith
+and catalog; the other commands add spectra and their own layers: `graph`
+the graph layer, `table1` and `verify` the graph layer and the verifier,
+and `oracle` the oracle, the only layer that needs numpy.
 
-Exit status: 0 on success (and verified cases), 1 on verification failure
-or a domain error (unsupported family, oracle mismatch), 2 on usage
-errors.  The environment variable GK_SEED (decimal or 0x-hex) overrides
-the oracle sampling seed.
+Exit status: 0 on success (and verified cases), 1 on verification failure,
+an oracle mismatch or a request outside gkod's coverage (any
+catalog.ParameterError: unknown family or target, unsupported parameters),
+2 on usage errors.  The environment variable GK_SEED (decimal or 0x-hex,
+either with an optional sign) overrides the oracle sampling seed.
 """
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
 from . import catalog
 from .arith import MAX_PRIME_BOUND, is_prime
-from .catalog import GroupId
-
-
-class DomainError(Exception):
-    """Semantically invalid request (reported on stderr, exit 1)."""
+from .catalog import GroupId, ParameterError
 
 
 def parse_selector(family: str, param: int) -> GroupId:
@@ -33,7 +31,7 @@ def parse_selector(family: str, param: int) -> GroupId:
     try:
         g = catalog.parse_label("A1" if family in ("A", "Alt") else f"{family}(1)")
     except ValueError as exc:
-        raise DomainError(f"unknown family selector {family!r}") from exc
+        raise ParameterError(f"unknown family selector {family!r}") from exc
     return replace(g, n=param) if g.family == "A" else replace(g, q=param)
 
 
@@ -42,10 +40,10 @@ def _seed() -> int:
     if raw is None:
         from .oracle import DEFAULT_SEED
         return DEFAULT_SEED
-    try:
-        return int(raw, 0)
-    except ValueError as exc:
-        raise DomainError(f"GK_SEED must be decimal or 0x-hex, got {raw!r}") from exc
+    m = re.fullmatch(r"[+-]?(?:(0[xX][0-9a-fA-F]+)|[0-9]+)", raw)
+    if m is None:
+        raise ParameterError(f"GK_SEED must be decimal or 0x-hex, got {raw!r}")
+    return int(raw, 16 if m[1] else 10)
 
 
 def _prime(text: str) -> int:
@@ -106,7 +104,7 @@ def cmd_graph(args) -> int:
     mu = spectra.spectrum_of(g)
     order = catalog.order_of(g)
     if not order.is_complete:
-        raise DomainError(
+        raise ParameterError(
             f"|{g.label()}| has a prime factor above "
             f"{MAX_PRIME_BOUND}; the prime graph needs the "
             "complete factorization")
@@ -178,10 +176,7 @@ def cmd_verify(args) -> int:
     from . import verifier
 
     g = parse_selector(args.family, args.param)
-    try:
-        report = verifier.verify_case(g)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = verifier.verify_case(g)
     if args.json:
         _json_print(report.to_json_dict())
     else:
@@ -205,10 +200,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle  # the only command that needs numpy
 
-    try:
-        res = oracle.run_target(args.target, seed=_seed())
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    res = oracle.run_target(args.target, seed=_seed())
     print(f"{res.target}: enumerated {res.enumerated}")
     print(f"  oracle mu:  {res.mu_oracle}")
     print(f"  formula mu: {res.mu_formula}")
@@ -267,13 +259,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "oracle": cmd_oracle,
     }[args.cmd]
-    from . import spectra
-
-    # the one place where a domain error becomes "gk: ..." and exit 1
+    # the one place where a request outside gkod's coverage becomes
+    # "gk: ..." and exit 1
     try:
         return handler(args)
-    except (DomainError, catalog.ParameterError, spectra.UnsupportedParameterError,
-            spectra.SpectrumNotImplementedError) as exc:
+    except ParameterError as exc:
         print(f"gk: {exc}", file=sys.stderr)
         return 1
 

@@ -51,7 +51,7 @@ from math import lcm, prod
 import numpy as np
 
 from .arith import is_prime, prime_power
-from .catalog import GroupId, order_terms, order_value
+from .catalog import GroupId, ParameterError, order_terms, order_value
 from .spectra import SOURCE_ORACLE, Spectrum, spectrum_of
 
 DEFAULT_SEED = 0xA11CE
@@ -739,8 +739,8 @@ ORACLE_TARGETS = (*sorted(_MATRIX_TARGETS), *(f"A{n}" for n in range(5, 11)))
 def run_target(name: str, seed: int = DEFAULT_SEED) -> OracleResult:
     """Run one named oracle target and compare it against spectrum_of."""
     if name not in ORACLE_TARGETS:
-        raise ValueError(f"unknown oracle target {name!r} "
-                         f"(known: {', '.join(ORACLE_TARGETS)})")
+        raise ParameterError(f"unknown oracle target {name!r} "
+                             f"(known: {', '.join(ORACLE_TARGETS)})")
     if name in _MATRIX_TARGETS:
         g = _MATRIX_TARGETS[name]
         grp = matrix_group(g, seed)

@@ -18,18 +18,18 @@ from .arith import (
     primes_upto,
     trusted,
 )
-from .catalog import GroupId, validate_group
+from .catalog import GroupId, ParameterError, validate_group
 
 SOURCE_FORMULA = "formula"
 SOURCE_PARTITION = "partition"  # alternating groups; a stable output label
 SOURCE_ORACLE = "oracle"
 
 
-class UnsupportedParameterError(ValueError):
+class UnsupportedParameterError(ParameterError):
     """The closed form does not cover this characteristic / field size."""
 
 
-class SpectrumNotImplementedError(NotImplementedError):
+class SpectrumNotImplementedError(ParameterError, NotImplementedError):
     """No spectrum routine for this family."""
 
     def __init__(self, family: str):

@@ -21,6 +21,7 @@ from functools import lru_cache
 from .arith import Factorization
 from .catalog import (
     GroupId,
+    ParameterError,
     ScopeError,
     enumerate_S_p,
     order_of,
@@ -241,8 +242,8 @@ def verify_case(group, pivot=None, pattern=None) -> CaseReport:
     g_id = parse_label(group) if isinstance(group, str) else group
     label = g_id.label()
     if label not in CASE_PI:
-        raise ValueError(f"no case configuration for {label} "
-                         f"(configured: {', '.join(sorted(CASE_PI))})")
+        raise ParameterError(f"no case configuration for {label} "
+                             f"(configured: {', '.join(sorted(CASE_PI))})")
     pi = CASE_PI[label]
 
     order = order_of(g_id)

@@ -6,12 +6,13 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkod.cli import main
+from gkod.cli import _seed, main
 from gkod.oracle import ORACLE_TARGETS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -289,22 +290,23 @@ def _gkod_modules(imported):
     return {m for m in imported if m.split(".")[0] == "gkod"} - {"gkod.data"}
 
 
-# every command loads gkod, arith, catalog and spectra (main's error
-# boundary names spectra's errors), then the layers of its own; numpy
-# loads for the oracle alone
-_BASE = {"gkod", "gkod.arith", "gkod.catalog", "gkod.spectra"}
+# every command loads gkod, arith and catalog (main's error boundary names
+# catalog.ParameterError alone), then the layers of its own; every command
+# but enumerate runs spectra, and numpy loads for the oracle alone
+_BASE = {"gkod", "gkod.arith", "gkod.catalog"}
 _COMMANDS = [
-    (["table1"], GOLDEN.read_bytes(), {"gkod.graph", "gkod.verifier"}),
+    (["table1"], GOLDEN.read_bytes(),
+     {"gkod.spectra", "gkod.graph", "gkod.verifier"}),
     (["graph", "U4", "31", "--json"], (GOLDEN_DIR / "graph_U4_31.json").read_bytes(),
-     {"gkod.graph"}),
+     {"gkod.spectra", "gkod.graph"}),
     (["graph", "U3", "27", "--dot"], (GOLDEN_DIR / "graph_U3_27.dot").read_bytes(),
-     {"gkod.graph"}),
+     {"gkod.spectra", "gkod.graph"}),
     (["verify", "G2", "11", "--json"], (GOLDEN_DIR / "verify_G2_11.json").read_bytes(),
-     {"gkod.graph", "gkod.verifier"}),
+     {"gkod.spectra", "gkod.graph", "gkod.verifier"}),
     (["enumerate", "--max-prime", "37", "--json"], None, set()),
-    (["spectrum", "A", "38", "--json"], None, set()),
-    (["oracle", "SL2_5"], ORACLE_GOLDEN["SL2_5"], {"gkod.oracle"}),
-    (["oracle", "A6"], ORACLE_GOLDEN["A6"], {"gkod.oracle"}),
+    (["spectrum", "A", "38", "--json"], None, {"gkod.spectra"}),
+    (["oracle", "SL2_5"], ORACLE_GOLDEN["SL2_5"], {"gkod.spectra", "gkod.oracle"}),
+    (["oracle", "A6"], ORACLE_GOLDEN["A6"], {"gkod.spectra", "gkod.oracle"}),
 ]
 
 
@@ -359,6 +361,21 @@ def test_gk_seed_env(monkeypatch, capsys):
     assert "GK_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,seed", [
+    ("012", 12), ("007", 7), ("-0x1f", -31), ("+0XbeEF", 0xBEEF), ("-1", -1)])
+def test_gk_seed_is_signed_decimal_or_hex(raw, seed, monkeypatch):
+    monkeypatch.setenv("GK_SEED", raw)
+    assert _seed() == seed
+
+
+@pytest.mark.parametrize("raw", ["0b11", "0o7", "0x", "", "-", " 12", "1_000", "١٢"])
+def test_gk_seed_rejects_other_forms(raw, monkeypatch, capsys):
+    monkeypatch.setenv("GK_SEED", raw)
+    assert main(["oracle", "SL2_4"]) == 1
+    assert capsys.readouterr().err == (
+        f"gk: GK_SEED must be decimal or 0x-hex, got {raw!r}\n")
+
+
 def test_graph_a100_is_fast(capsys):
     start = time.perf_counter()
     assert main(["graph", "A", "100"]) == 0
@@ -376,14 +393,20 @@ _FAMILIES = ("A", "Alt", "L2", "L3", "U3", "U4", "S4", "S6", "G2", "2G2",
              "2B2", "O+8", "E8", "X4")
 _PARAMS = st.one_of(st.integers(-3, 2100).map(str),
                     st.sampled_from(["x", "", "3.5", "0x1f"]))
+# unknown names, some shaped like registered ones, and two cheap targets
+_ORACLE_NAMES = ("", "SL2_3", "A4", "A11", "x", "SL2_4", "A5")
+# unset, malformed, negative and zero-padded decimal
+_GK_SEEDS = (None, "0x", "-1", "012")
 
 
 @st.composite
 def _argv(draw):
     cmd = draw(st.sampled_from(
-        ("table1", "spectrum", "graph", "enumerate", "verify")))
+        ("table1", "spectrum", "graph", "enumerate", "verify", "oracle")))
     if cmd == "table1":
         return [cmd]
+    if cmd == "oracle":
+        return [cmd, draw(st.sampled_from(_ORACLE_NAMES))]
     if cmd == "enumerate":
         argv = [cmd]
         if draw(st.booleans()):
@@ -396,14 +419,29 @@ def _argv(draw):
     return argv + sorted(draw(st.sets(st.sampled_from(choices))))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_argv())
-def test_cli_fuzz_exit_status_and_no_traceback(argv):
+def _assert_exit_status_without_traceback(argv, gk_seed):
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        os.environ.pop("GK_SEED", None)
+        if gk_seed is not None:
+            os.environ["GK_SEED"] = gk_seed
         try:
             status = main(argv)
         except SystemExit as exc:
             status = exc.code
-    assert status in (0, 1, 2), (argv, status)
-    assert "Traceback" not in err.getvalue(), argv
+    assert status in (0, 1, 2), (argv, gk_seed, status)
+    assert "Traceback" not in err.getvalue(), (argv, gk_seed)
+
+
+@settings(max_examples=240, deadline=None)
+@given(_argv(), st.sampled_from(_GK_SEEDS))
+def test_cli_fuzz_exit_status_and_no_traceback(argv, gk_seed):
+    _assert_exit_status_without_traceback(argv, gk_seed)
+
+
+@pytest.mark.parametrize("gk_seed", _GK_SEEDS)
+@pytest.mark.parametrize("name", _ORACLE_NAMES)
+def test_oracle_grammar_exit_status_and_no_traceback(name, gk_seed):
+    """Every oracle case of the fuzz grammar, each seed with each name."""
+    _assert_exit_status_without_traceback(["oracle", name], gk_seed)

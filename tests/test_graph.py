@@ -45,7 +45,7 @@ from gkod.graph import (
     suzuki_decomposition,
     to_dot,
 )
-from gkod.spectra import UnsupportedParameterError, mu_alternating, spectrum_of
+from gkod.spectra import mu_alternating, spectrum_of
 
 # frozen from the published figure of the four prime graphs
 FIG_EDGES = {
@@ -348,7 +348,7 @@ def _closed_form_groups(max_q):
             g = GroupId(family, n=n, q=q)
             try:
                 mu = spectrum_of(g)
-            except (UnsupportedParameterError, ParameterError):
+            except ParameterError:
                 continue
             yield g, mu
 

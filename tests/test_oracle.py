@@ -506,11 +506,13 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
-def test_class_labels_match_whole_array_reference(name, default_group):
+def test_class_labels_match_whole_array_reference(name, default_group, default_labels):
     """The in-place propagation reaches the labels of the whole-array one
-    on every registered target, each built once (default_group)."""
+    on every registered target, each built and scanned once per session
+    (default_group, default_labels: the labels that oracle_runner's
+    spectrum scan reads)."""
     grp = default_group(name)
-    label = conjugacy_classes(grp)
+    label = default_labels(name)
     assert label.dtype == np.int32
     assert np.array_equal(label, class_labels_whole_array(grp))
 

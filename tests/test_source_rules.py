@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -149,3 +150,27 @@ def test_oracle_imports_no_closed_form():
     named = [m for m in _imported_modules(ast.walk(tree))
              if m.rsplit(".", 1)[-1].startswith("mu_")]
     assert not named, f"oracle.py imports {named}"
+
+
+# the errors that signal a broken invariant; gk lets them end in a traceback
+_INVARIANT_ERRORS = {"CauchyConsistencyError", "FormViolationError", "ClosureError"}
+
+
+def test_every_error_class_picks_a_side():
+    """Each exception class that gkod defines either derives from
+    catalog.ParameterError, a request outside gkod's coverage that gk
+    reports as exit 1, or is one of the named invariant errors, which must
+    not derive from it."""
+    from gkod.catalog import ParameterError
+
+    errors = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "gkod" if path.stem == "__init__" else f"gkod.{path.stem}"
+        module = importlib.import_module(name)
+        errors.update((cls.__name__, cls) for cls in vars(module).values()
+                      if isinstance(cls, type) and issubclass(cls, BaseException)
+                      and cls.__module__ == name)
+    assert _INVARIANT_ERRORS <= set(errors)
+    wrong = sorted(name for name, cls in errors.items()
+                   if issubclass(cls, ParameterError) == (name in _INVARIANT_ERRORS))
+    assert not wrong, f"error classes on the wrong side of ParameterError: {wrong}"

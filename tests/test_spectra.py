@@ -8,7 +8,7 @@ from oracle_ref import (
 )
 
 from gkod.arith import maximal_under_divisibility
-from gkod.catalog import order_of, parse_label, s37_reference
+from gkod.catalog import ParameterError, order_of, parse_label, s37_reference
 from gkod.spectra import (
     Spectrum,
     SpectrumNotImplementedError,
@@ -111,6 +111,9 @@ def test_spectrum_dispatch():
         spectrum_of(parse_label("L3(4)"))
     assert str(err.value) == ("no spectrum implemented for family 'L3' "
                               "(covered: Alt, L2, U3, U4, S4, G2)")
+    # a request outside the coverage, still caught as NotImplementedError
+    assert isinstance(err.value, ParameterError)
+    assert isinstance(err.value, NotImplementedError)
 
 
 def test_spectrum_type_enforces_antichain():
