@@ -21,7 +21,6 @@ _EXPORTS = {
     "catalog": (
         "GroupId",
         "ParameterError",
-        "ScopeError",
         "canonicalize",
         "enumerate_S_p",
         "order_of",

@@ -63,10 +63,6 @@ class ParameterError(ValueError):
     as exit 1; an error that signals a broken invariant is not one."""
 
 
-class ScopeError(ParameterError):
-    """A declaratively encoded fact was queried outside its encoded scope."""
-
-
 @dataclass(frozen=True)
 class GroupId:
     """Tagged identifier of a finite simple group.
@@ -317,10 +313,12 @@ def enumerate_S_p(p: int) -> list:
     a primitive prime divisor l = 1 mod fi, so l > p).  The result is
     complete for p <= CHARACTERISTIC_BOUND.  A Lie-type candidate with
     p-smooth order terms is in S_p when p is its characteristic or divides
-    a term, and canonicalize validates it, once.
+    a term, and canonicalize validates it, once.  A p that is not a prime
+    up to MAX_PRIME_BOUND, above which order_of cannot fully factor the
+    orders found, raises ParameterError before any work.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    if not (is_prime(p) and p <= MAX_PRIME_BOUND):
+        raise ParameterError(f"p = {p} is not a prime up to {MAX_PRIME_BOUND}")
     plist = primes_upto(p)
     # n!/2 has exactly the primes up to n, so n in [p, next prime) is in S_p
     found = {GroupId("A", n=n) for n in range(max(5, p), next_prime_after(p))}
@@ -372,20 +370,17 @@ def s37_reference() -> list:
 
 
 def out_primes_bounded(g: GroupId) -> bool:
-    """Encoded fact: pi(Out(g)) is contained in {2, 3, 5}.
+    """Whether pi(Out(g)) is contained in {2, 3, 5}.
 
-    Encoded scope: non-sporadic g whose order factors completely below
-    10**4 with largest prime divisor in [5, 97].  Anything else raises
-    ScopeError (defensive: the fact may hold more widely, but only this
-    scope is vouched for).
+    For g of Lie type |Out(g)| = d f g (Gorenstein-Lyons-Solomon, CFSG
+    No. 3, Table 2.5.1): d the diagonal part, which is order_terms' d, f
+    the exponent of q as a power of its characteristic, and g the graph
+    part, which with the twisted groups' field automorphisms adds only
+    the primes 2 and 3.  So the bound holds iff d f is 5-smooth.  For A_n
+    and the sporadic groups |Out| divides 4 (ATLAS), so it always holds.
     """
     validate_group(g)
-    if g.family == "Spor":
-        raise ScopeError(f"{g.label()} is outside the encoded scope (sporadic)")
-    f = order_of(g)
-    if not f.is_complete:
-        raise ScopeError(f"order of {g.label()} not fully factored below 10^4")
-    top = f.primes()[-1]
-    if not 5 <= top <= 97:
-        raise ScopeError(f"largest prime {top} of |{g.label()}| outside [5, 97]")
-    return True
+    if g.family in ("A", "Spor"):
+        return True
+    _, _, d = order_terms(g.family, g.n, g.q)
+    return factorize(d * prime_power(g.q)[1], 5).is_complete

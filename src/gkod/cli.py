@@ -46,11 +46,20 @@ def _seed() -> int:
     return int(raw, 16 if m[1] else 10)
 
 
+def _int(text: str) -> int:
+    """argparse type for a family parameter: an optional sign and ASCII
+    digits, else a usage error (int() would also take '3_7' and other
+    scripts' digits)."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _prime(text: str) -> int:
-    """argparse type for --max-prime: a prime up to MAX_PRIME_BOUND, else a
-    usage error.  Above it order_of cannot fully factor the orders in S_p,
-    and the run time grows about as p^3."""
-    p = int(text) if text.isdecimal() else 0
+    """argparse type for --max-prime: ASCII digits naming a prime up to
+    MAX_PRIME_BOUND, else a usage error.  Above it order_of cannot fully
+    factor the orders in S_p, and the run time grows about as p^3."""
+    p = int(text) if re.fullmatch(r"[0-9]+", text) else 0
     if p > MAX_PRIME_BOUND:
         raise argparse.ArgumentTypeError(
             f"{p} is above {MAX_PRIME_BOUND}, the largest supported bound")
@@ -220,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="maximal element orders mu(S)")
     sp.add_argument("family", help="family selector: A, L2, U3, U4, S4, G2, ...")
-    sp.add_argument("param", type=int, help="field size q, or degree n for A")
+    sp.add_argument("param", type=_int, help="field size q, or degree n for A")
     sp.add_argument("--json", action="store_true")
 
     gp = sub.add_parser("graph", help="prime graph and its statistics")
     gp.add_argument("family")
-    gp.add_argument("param", type=int)
+    gp.add_argument("param", type=_int)
     fmt = gp.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true", help="emit DOT text")
     fmt.add_argument("--json", action="store_true")
@@ -239,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="mechanized case analysis")
     vp.add_argument("family")
-    vp.add_argument("param", type=int)
+    vp.add_argument("param", type=_int)
     vp.add_argument("--json", action="store_true")
 
     op = sub.add_parser("oracle", help="brute-force spectrum cross-check")

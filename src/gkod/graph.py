@@ -17,14 +17,17 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import Factorization, prime_factors, trusted
+from .arith import MAX_PRIME_BOUND, Factorization, factorize, is_prime, trusted
 
 
 class CauchyConsistencyError(ValueError):
-    """Prime support of the spectrum disagrees with the order's support."""
+    """Prime support of the spectrum disagrees with the order's support:
+    prime is the least prime at fault, or None if it is out of reach."""
 
-    def __init__(self, prime: int, where: str):
-        super().__init__(f"prime {prime} {where}")
+    def __init__(self, prime: int | None, where: str):
+        name = (f"prime {prime}" if prime is not None
+                else f"a prime above {MAX_PRIME_BOUND}")
+        super().__init__(f"{name} {where}")
         self.prime = prime
 
 
@@ -165,14 +168,15 @@ def build_gk(order: Factorization, mu) -> PrimeGraph:
     prime of |G| occurs as an element order, and orders divide |G|).
 
     Each member is divided by the order's primes, and the bitset of the
-    primes it holds is ORed into the mask of each of them.  A cofactor
-    above 1 is made of primes outside the order; only then is it factored,
-    to name the least such prime over all members."""
+    primes it holds is ORed into the mask of each of them.  What is left
+    of the members is made of primes outside the order; only when it is
+    above 1 is it factored, below MAX_PRIME_BOUND, to name the least such
+    prime: past the bound only a prime remainder can be named."""
     vertices = order.primes()
     if not order.is_complete:
         raise ValueError("order factorization must be complete")
     masks = [0] * len(vertices)
-    support, cofactors = 0, []
+    support, foreign = 0, 1
     for m in mu:
         if m < 1:
             raise ValueError(f"spectrum members must be >= 1, got {m}")
@@ -183,17 +187,18 @@ def build_gk(order: Factorization, mu) -> PrimeGraph:
                 m //= p
                 while m % p == 0:
                     m //= p
-        if m > 1:
-            cofactors.append(m)
+        foreign *= m
         support |= bits
         rest = bits
         while rest:
             low = rest & -rest
             masks[low.bit_length() - 1] |= bits ^ low
             rest ^= low
-    if cofactors:
-        raise CauchyConsistencyError(min(prime_factors(m)[0] for m in cofactors),
-                                     "divides the spectrum but not the order")
+    if foreign > 1:
+        rest = factorize(foreign, MAX_PRIME_BOUND)
+        prime = (rest.factors[0][0] if rest.factors
+                 else foreign if is_prime(foreign) else None)
+        raise CauchyConsistencyError(prime, "divides the spectrum but not the order")
     if support != (1 << len(vertices)) - 1:
         missing = (~support & support + 1).bit_length() - 1
         raise CauchyConsistencyError(vertices[missing],

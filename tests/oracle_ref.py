@@ -33,8 +33,9 @@ bitmask adjacency.  build_gk and enumerate_with_pattern built each graph
 from an edge set, sorted and checked by the PrimeGraph constructor, before
 the masks were derived from it.  Last come degree classes and the
 mu-versus-closure graph equivalence, facts that only the tests check.
-prime_support (with NonSmoothError) and omega_alternating are helpers
-that only the tests use.
+prime_support (with NonSmoothError), omega_alternating and
+prime_factors, whose unbounded trial division build_gk once ran on a
+foreign cofactor, are helpers that only the tests use.
 """
 
 import itertools
@@ -49,7 +50,6 @@ from gkod.arith import (
     divisor_closure,
     factorize,
     is_prime,
-    prime_factors,
     prime_power,
     primes_upto,
 )
@@ -526,6 +526,24 @@ def prime_support(n, prime_bound=37):
     if not f.is_complete:
         raise NonSmoothError(n, prime_bound, f.residual)
     return f.primes()
+
+
+def prime_factors(n: int) -> list:
+    """Distinct primes dividing n, ascending (unbounded trial division;
+    meant for element orders and small field sizes, not group orders)."""
+    if n < 1:
+        raise ValueError("prime_factors needs n >= 1")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def prime_power_trial(q):

@@ -8,6 +8,7 @@ from oracle_ref import (
     NonSmoothError,
     is_prime_mr13,
     maximal_under_divisibility_quadratic,
+    prime_factors,
     prime_power_trial,
     prime_support,
 )
@@ -24,7 +25,6 @@ from gkod.arith import (
     maximal_under_divisibility,
     next_prime_after,
     parse_factorization,
-    prime_factors,
     prime_power,
     primes_upto,
 )

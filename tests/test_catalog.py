@@ -12,7 +12,6 @@ from gkod.catalog import (
     FAMILIES,
     GroupId,
     ParameterError,
-    ScopeError,
     _field_exponents,
     canonicalize,
     enumerate_S_p,
@@ -269,11 +268,41 @@ def test_order_of_rejects_invalid_groups():
         order_of(GroupId("Spor", name="M25"))
 
 
+@pytest.mark.parametrize("p", [41, 61, 97])
+def test_out_primes_bounded_holds_on_ungated_s_p(p):
+    """The bound computed from d and f holds on S_p in characteristic
+    above 37 too, such as L2(41), L2(1681), S4(41), L3(47), L4(47),
+    L3(61) and L2(97)."""
+    groups = enumerate_S_p_ungated(p)
+    assert any(g.family not in ("A", "Spor") and g.q % p == 0 for g in groups)
+    assert [g.label() for g in groups if not out_primes_bounded(g)] == []
+
+
 def test_out_primes_bounded():
-    assert out_primes_bounded(parse_label("U4(31)")) is True
-    assert out_primes_bounded(parse_label("G2(11)")) is True
-    assert out_primes_bounded(GroupId("A", n=37)) is True
-    with pytest.raises(ScopeError):
-        out_primes_bounded(GroupId("Spor", name="M"))
-    with pytest.raises(ScopeError):
-        out_primes_bounded(GroupId("Spor", name="J2"))
+    """The bound fails where f = 7 or d = 7 puts 7 into |Out|, and holds
+    for small cases, the case groups, A_n and every sporadic group."""
+    for label in ("L2(128)", "L2(2187)", "2B2(128)", "L7(29)", "U7(13)"):
+        assert out_primes_bounded(parse_label(label)) is False, label
+    for label in ("L3(4)", "L2(32)", "O+8(2)", "2B2(8)", "U4(31)", "G2(11)",
+                  "A5", "A6", "A37", *SPORADIC_DECIMAL):
+        assert out_primes_bounded(parse_label(label)) is True, label
+
+
+def test_enumerate_range_is_checked_before_any_work(monkeypatch):
+    """A p that is not a prime up to 10^4 raises ParameterError before the
+    enumeration starts; 9973, the largest prime in range, gets past the
+    check (the full run is in CI) and 997 runs above."""
+    class Started(Exception):
+        pass
+
+    def started(bound):
+        raise Started
+
+    monkeypatch.setattr("gkod.catalog.primes_upto", started)
+    for p in (10007, 40009, 4, 1, 0, -5, 10**100 + 267):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError):
+            enumerate_S_p(p)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(Started):
+        enumerate_S_p(9973)

@@ -176,6 +176,14 @@ def test_usage_error_exit_code():
     (["enumerate", "--max-prime", "4"], "'4' is not a prime"),
     (["enumerate", "--max-prime", "10007"],
      "10007 is above 10000, the largest supported bound"),
+    # one ASCII integer grammar: no underscores, other scripts' digits or
+    # padding in a parameter, and no sign in --max-prime either
+    (["spectrum", "L2", "3_7"], "invalid int value: '3_7'"),
+    (["spectrum", "L2", "\u0663\u0667"], "invalid int value: '\u0663\u0667'"),
+    (["graph", "U4", " 31"], "invalid int value: ' 31'"),
+    (["enumerate", "--max-prime", "\u0663\u0667"], "'\u0663\u0667' is not a prime"),
+    (["enumerate", "--max-prime", "3_7"], "'3_7' is not a prime"),
+    (["enumerate", "--max-prime", "+37"], "'+37' is not a prime"),
 ])
 def test_bad_argument_is_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as err:
@@ -197,6 +205,9 @@ def test_unknown_family_selector(capsys):
         "gk: alternating groups require degree n >= 5\n")
     assert main(["graph", "L2", "-5"]) == 1
     assert capsys.readouterr().err == "gk: q = -5 is not a prime power\n"
+    # a plus sign is part of the parameter grammar
+    assert main(["spectrum", "L2", "+37"]) == 0
+    assert capsys.readouterr().out.startswith("mu(L2(37)) = ")
 
 
 def _oracle_golden():
@@ -392,7 +403,8 @@ def test_graph_order_beyond_factor_bound_is_domain_error(capsys):
 _FAMILIES = ("A", "Alt", "L2", "L3", "U3", "U4", "S4", "S6", "G2", "2G2",
              "2B2", "O+8", "E8", "X4")
 _PARAMS = st.one_of(st.integers(-3, 2100).map(str),
-                    st.sampled_from(["x", "", "3.5", "0x1f"]))
+                    st.sampled_from(["x", "", "3.5", "0x1f", "3_7",
+                                     "\u0663\u0667", "+37", " 37"]))
 # unknown names, some shaped like registered ones, and two cheap targets
 _ORACLE_NAMES = ("", "SL2_3", "A4", "A11", "x", "SL2_4", "A5")
 # unset, malformed, negative and zero-padded decimal
@@ -412,7 +424,8 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += ["--max-prime", draw(st.sampled_from(
                 ("2", "3", "5", "7", "13", "37", "53", "97",
-                 "4", "1", "0", "-5", "x", "10007")))]
+                 "4", "1", "0", "-5", "x", "10007",
+                 "\u0663\u0667", "3_7", "+37")))]
         return argv + (["--json"] if draw(st.booleans()) else [])
     argv = [cmd, draw(st.sampled_from(_FAMILIES)), draw(_PARAMS)]
     choices = ("--json", "--dot") if cmd == "graph" else ("--json",)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from oracle_ref import (
@@ -92,6 +93,26 @@ def test_build_gk_cauchy_violation_names_prime():
     with pytest.raises(CauchyConsistencyError) as err:
         build_gk(parse_factorization("2·3"), [2, 3, 5])
     assert err.value.prime == 5
+
+
+def test_build_gk_foreign_factor_beyond_trial_bound():
+    """The foreign part of the members is factored only below 10^4: past
+    the bound a prime part is named, and a composite one is reported as
+    a prime above 10^4, in well under a second."""
+    order = order_of(parse_label("L2(37)"))
+    p1, p2 = 10**12 + 39, 10**12 + 61
+    for mu, prime in (([2 * 3 * p1 * p2, 37, 19], None),
+                      ([2 * 3 * p2, 37, 19 * p1], None),
+                      ([2 * 3, 37, 19 * p1], p1),
+                      ([2 * 3 * p1 * p2, 37 * 41, 19], 41)):
+        start = time.perf_counter()
+        with pytest.raises(CauchyConsistencyError) as err:
+            build_gk(order, mu)
+        assert time.perf_counter() - start < 1
+        assert err.value.prime == prime
+    assert str(err.value) == "prime 41 divides the spectrum but not the order"
+    with pytest.raises(CauchyConsistencyError, match="^a prime above 10000 "):
+        build_gk(order, [2 * 3 * p1 * p2, 37, 19])
 
 
 def test_build_gk_rejects_nonpositive_member():

@@ -6,7 +6,7 @@ import pytest
 from oracle_ref import enumerate_with_pattern_sets
 
 from gkod.arith import parse_factorization
-from gkod.catalog import ScopeError, enumerate_S_p, order_of, parse_label
+from gkod.catalog import ParameterError, enumerate_S_p, order_of, parse_label
 from gkod.graph import PrimeGraph, build_gk, degree_pattern
 from gkod.spectra import spectrum_of
 from gkod.verifier import (
@@ -186,7 +186,7 @@ def test_vasiliev_complete_graph_fails():
 
 
 def test_vasiliev_requires_vertex_two():
-    with pytest.raises(ScopeError):
+    with pytest.raises(ParameterError):
         vasiliev_applicable(PrimeGraph.from_edges((3, 5), [(3, 5)]))
 
 
@@ -264,6 +264,18 @@ def test_verify_case_g2_11_filter_details():
     rep = verify_case("G2(11)")
     assert rep.filter["divisibility"] == ["L2(1331)", "G2(11)"]
     assert rep.filter["survivors"] == ["G2(11)"]
+
+
+@pytest.mark.parametrize("label", ["S4(31)", "U3(27)", "G2(11)", "U4(31)"])
+def test_candidate_outside_out_bound_is_unchecked(label, monkeypatch):
+    """A filter candidate that fails the Out bound is listed as unchecked,
+    which fails the filter stage."""
+    monkeypatch.setattr("gkod.verifier.out_primes_bounded",
+                        lambda P: P.label() != label)
+    rep = verify_case(label)
+    assert rep.filter["unchecked"] == [label]
+    assert label not in rep.filter["survivors"]
+    assert rep.verdict == "failed(filter)"
 
 
 def test_verify_case_tampered_pattern_fails_enumeration():
