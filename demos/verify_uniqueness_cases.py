@@ -6,8 +6,9 @@
 # Run:  python demos/verify_uniqueness_cases.py
 
 import json
+from unittest import mock
 
-from gkod import verify_case
+from gkod import verifier, verify_case
 
 for label in ("S4(31)", "U3(27)", "G2(11)", "U4(31)"):
     rep = verify_case(label)
@@ -31,9 +32,12 @@ for label in ("S4(31)", "U3(27)", "G2(11)", "U4(31)"):
         print(f"  - {fact}")
     print()
 
-# a negative control: corrupt one degree and the enumeration step fails
-rep = verify_case("U3(27)", pattern=(3, 2, 3, 2, 1, 0))
-print("tampered degree pattern for U3(27) ->", rep.verdict)
+# a negative control: let the solvable radical of U4(31) avoid only 7 and
+# 19, and U3(31), of characteristic 31, survives the filter beside U4(31)
+with mock.patch.dict(verifier.CASE_PI, {"U4(31)": (7, 19)}):
+    rep = verify_case("U4(31)")
+print("U4(31) with pi = {7, 19} ->", rep.verdict,
+      "; survivors:", rep.filter["survivors"])
 
 # reports serialize to stable JSON
 print()

@@ -25,7 +25,7 @@ _EXPORTS = {
         "enumerate_S_p",
         "order_of",
         "order_value",
-        "out_primes_bounded",
+        "out_primes",
         "parse_label",
         "s37_reference",
         "sporadic_order",

@@ -369,18 +369,18 @@ def s37_reference() -> list:
     return sorted((parse_label(s) for s in PUBLISHED_S37), key=GroupId.sort_key)
 
 
-def out_primes_bounded(g: GroupId) -> bool:
-    """Whether pi(Out(g)) is contained in {2, 3, 5}.
+def out_primes(g: GroupId) -> frozenset:
+    """A set of primes that contains pi(Out(g)).
 
     For g of Lie type |Out(g)| = d f g (Gorenstein-Lyons-Solomon, CFSG
     No. 3, Table 2.5.1): d the diagonal part, which is order_terms' d, f
     the exponent of q as a power of its characteristic, and g the graph
     part, which with the twisted groups' field automorphisms adds only
-    the primes 2 and 3.  So the bound holds iff d f is 5-smooth.  For A_n
-    and the sporadic groups |Out| divides 4 (ATLAS), so it always holds.
+    the primes 2 and 3.  So the set is {2, 3} and the primes of d f.  For
+    A_n and the sporadic groups |Out| divides 4 (ATLAS), so it is {2}.
     """
     validate_group(g)
     if g.family in ("A", "Spor"):
-        return True
+        return frozenset({2})
     _, _, d = order_terms(g.family, g.n, g.q)
-    return factorize(d * prime_power(g.q)[1], 5).is_complete
+    return frozenset({2, 3, *filter(is_prime, divisors(d * prime_power(g.q)[1]))})

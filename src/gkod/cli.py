@@ -17,6 +17,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 from . import catalog
@@ -49,20 +50,23 @@ def _seed() -> int:
 def _int(text: str) -> int:
     """argparse type for a family parameter: an optional sign and ASCII
     digits, else a usage error (int() would also take '3_7' and other
-    scripts' digits)."""
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    scripts' digits, and it refuses more than 4,300 digits)."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        with suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _prime(text: str) -> int:
     """argparse type for --max-prime: ASCII digits naming a prime up to
     MAX_PRIME_BOUND, else a usage error.  Above it order_of cannot fully
-    factor the orders in S_p, and the run time grows about as p^3."""
-    p = int(text) if re.fullmatch(r"[0-9]+", text) else 0
-    if p > MAX_PRIME_BOUND:
+    factor the orders in S_p, and the run time grows about as p^3.  A
+    longer digit string than the bound's is above it, unconverted."""
+    digits = (text.lstrip("0") or "0") if re.fullmatch(r"[0-9]+", text) else "0"
+    if len(digits) > len(str(MAX_PRIME_BOUND)) or int(digits) > MAX_PRIME_BOUND:
         raise argparse.ArgumentTypeError(
-            f"{p} is above {MAX_PRIME_BOUND}, the largest supported bound")
+            f"{digits} is above {MAX_PRIME_BOUND}, the largest supported bound")
+    p = int(digits)
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text!r} is not a prime")
     return p

@@ -8,15 +8,15 @@ on the pivot adjacency, checks the almost-simple reduction hypotheses
 order-divisibility filter over the computed catalog.  Each case is
 configured by the primes pi its solvable radical must avoid; the rest is
 derived: the pivot is the least edge of GK(S) whose presence forces a
-family member to equal GK(S) (none for U4(31)), and the required divisor
-of |P| is the pi-part of |S|.  Genuine group theory
-(solvable radicals, order-component characterizations) is not re-proved;
-each report lists those inputs under assumed_facts.
+family member to equal GK(S) (none for U4(31)), a candidate P must have
+the part of |S| on pi minus out_primes(P), and the catalog is read off
+pi(S).  Group theory (solvable radicals, |Out(P)|, order-component
+characterizations) is not re-proved; reports list it under assumed_facts.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .arith import Factorization
 from .catalog import (
@@ -24,7 +24,7 @@ from .catalog import (
     ParameterError,
     enumerate_S_p,
     order_of,
-    out_primes_bounded,
+    out_primes,
     parse_label,
     s37_reference,
 )
@@ -35,7 +35,7 @@ from .graph import (
     independence,
     independence_at,
 )
-from .spectra import SpectrumNotImplementedError, spectrum_of
+from .spectra import spectrum_of
 
 MAX_PATTERN_VERTICES = 10
 
@@ -131,21 +131,25 @@ def vasiliev_applicable(g: PrimeGraph) -> VasilievResult:
     return VasilievResult(t >= 3 and t2 >= 2, t, w, t2, w2)
 
 
-def candidate_filter(m: Factorization, g_order: Factorization, catalog) -> list:
-    """Catalog members P with m | |P| and |P| | g_order, sorted."""
-    out = [P for P in catalog
-           if m.divides(order := order_of(P)) and order.divides(g_order)]
+def candidate_filter(order: Factorization, pi, catalog) -> list:
+    """Members P of catalog (a mapping from each group to its order) with
+    |P| | order and order_l | |P| for each l in pi outside out_primes(P),
+    sorted.  For P <= G/K <= Aut(P), |G| = order and K a pi'-group,
+    |G/K|_pi = order_pi and |G/K : P| divides |Out(P)|."""
+    out = [P for P, p_order in catalog.items()
+           if p_order.divides(order)
+           and order.restrict(set(pi) - out_primes(P)).divides(p_order)]
     return sorted(out, key=GroupId.sort_key)
 
 
 def _pattern_compatible(P: GroupId, degree_bound: dict):
     """Degree-lift elimination: P <= G/K pushes every adjacency of GK(P)
     into GK(G), so each GK(P) vertex degree must fit under the hypothesized
-    pattern degree.  Returns True/False, or None when no spectrum routine
-    covers P (cannot be checked)."""
+    pattern degree.  Returns True/False, or None when gkod does not cover
+    the spectrum of P (any ParameterError: cannot be checked)."""
     try:
         gk_p = build_gk(order_of(P), spectrum_of(P))
-    except SpectrumNotImplementedError:
+    except ParameterError:
         return None
     return all(gk_p.degree(v) <= degree_bound[v] for v in gk_p.vertices)
 
@@ -170,8 +174,8 @@ def _assumed_facts(label: str, pi: tuple, pivot) -> tuple:
         "almost-simple reduction: a finite group G with t(G) >= 3 and "
         "t(2, G) >= 2 admits a simple P with P <= G/K <= Aut(P), "
         "K the maximal normal solvable subgroup",
-        # out_primes_bounded checks this per filter candidate; the wording
-        # is pinned by tests/golden and bench/ref until they are regenerated
+        # narrower than the filter's out_primes; the wording is pinned by
+        # tests/golden and bench/ref until they are regenerated
         "outer-automorphism support: pi(Out(S)) is contained in {2, 3, 5} "
         "for every simple S whose largest order prime lies in [5, 97]",
         f"solvable-radical support: K is a {pi_str}'-group "
@@ -214,12 +218,10 @@ class CaseReport:
         }
 
 
-@lru_cache(maxsize=1)
-def _catalog_s37():
-    computed = enumerate_S_p(37)
-    reference = s37_reference()
-    agrees = computed == reference
-    return computed, reference, agrees
+@cache
+def _orders_in_S_p(ell: int) -> dict:
+    """Each member of enumerate_S_p(ell), in its order, mapped to |P|."""
+    return {P: order_of(P) for P in enumerate_S_p(ell)}
 
 
 def forcing_pivot(gk: PrimeGraph, family: GraphFamily):
@@ -234,15 +236,14 @@ def forcing_pivot(gk: PrimeGraph, family: GraphFamily):
                 None)
 
 
-def verify_case(group, pivot=None, pattern=None) -> CaseReport:
+def verify_case(group) -> CaseReport:
     """Run the full mechanized case analysis for one of the four groups.
 
-    pivot defaults to forcing_pivot over the enumerated family; pattern may
-    override the computed degree pattern (negative controls in tests use
-    both).  A candidate of the filter that fails the Out bound
-    (out_primes_bounded) or has no spectrum routine is listed as
-    unchecked, which fails the filter stage.
-    """
+    The filter's catalog holds every simple P with |P| | |S|: the largest
+    prime l of |P| is at least 5 (Burnside) and divides |S|, so P lies in
+    enumerate_S_p(l), complete for l <= CHARACTERISTIC_BOUND, which bounds
+    every prime of a configured |S|.  A candidate whose spectrum gkod does
+    not cover is listed as unchecked, which fails the filter stage."""
     g_id = parse_label(group) if isinstance(group, str) else group
     label = g_id.label()
     if label not in CASE_PI:
@@ -252,23 +253,20 @@ def verify_case(group, pivot=None, pattern=None) -> CaseReport:
 
     order = order_of(g_id)
     gk = build_gk(order, spectrum_of(g_id))
-    m_required = order.restrict(pi)
-    if pattern is None:
-        pattern = degree_pattern(gk).degrees
-    pattern = tuple(int(d) for d in pattern)
+    pattern = degree_pattern(gk).degrees
 
-    computed_s37, reference_s37, catalog_agrees = _catalog_s37()
+    computed_s37 = list(_orders_in_S_p(37))
+    catalog_agrees = computed_s37 == s37_reference()
     catalog_check = {
         "agrees_with_published": catalog_agrees,
         "computed": [g.label() for g in computed_s37],
     }
     if not catalog_agrees:
         # surface the discrepancy; do not silently prefer either source
-        catalog_check["published"] = [g.label() for g in reference_s37]
+        catalog_check["published"] = [g.label() for g in s37_reference()]
 
     family = enumerate_with_pattern(gk.vertices, pattern)
-    if pivot is None:
-        pivot = forcing_pivot(gk, family)
+    pivot = forcing_pivot(gk, family)
 
     forced = None
     alternatives = list(family.graphs)
@@ -295,17 +293,15 @@ def verify_case(group, pivot=None, pattern=None) -> CaseReport:
                       if worst_t else None),
     }
 
-    by_div = candidate_filter(m_required, order, computed_s37)
+    catalog = {P: p_order for ell in order.primes() if ell >= 5
+               for P, p_order in _orders_in_S_p(ell).items()}
+    by_div = candidate_filter(order, pi, catalog)
     bound = dict(zip(gk.vertices, pattern))
-    unchecked, survivors = [], []
-    for P in by_div:
-        compat = _pattern_compatible(P, bound) if out_primes_bounded(P) else None
-        if compat is None:
-            unchecked.append(P)
-        elif compat:
-            survivors.append(P)
+    compat = {P: _pattern_compatible(P, bound) for P in by_div}
+    survivors = [P for P in by_div if compat[P]]
+    unchecked = [P for P in by_div if compat[P] is None]
     filt = {
-        "required": str(m_required),
+        "required": str(order.restrict(pi)),
         "divisibility": [P.label() for P in by_div],
         "survivors": [P.label() for P in survivors],
         "unchecked": [P.label() for P in unchecked],

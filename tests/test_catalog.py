@@ -17,7 +17,7 @@ from gkod.catalog import (
     enumerate_S_p,
     order_of,
     order_value,
-    out_primes_bounded,
+    out_primes,
     parse_label,
     s37_reference,
     sporadic_order,
@@ -270,22 +270,24 @@ def test_order_of_rejects_invalid_groups():
 
 @pytest.mark.parametrize("p", [41, 61, 97])
 def test_out_primes_bounded_holds_on_ungated_s_p(p):
-    """The bound computed from d and f holds on S_p in characteristic
-    above 37 too, such as L2(41), L2(1681), S4(41), L3(47), L4(47),
-    L3(61) and L2(97)."""
+    """The Out primes computed from d and f stay within {2, 3, 5} on S_p
+    in characteristic above 37 too, such as L2(41), L2(1681), S4(41),
+    L3(47), L4(47), L3(61) and L2(97)."""
     groups = enumerate_S_p_ungated(p)
     assert any(g.family not in ("A", "Spor") and g.q % p == 0 for g in groups)
-    assert [g.label() for g in groups if not out_primes_bounded(g)] == []
+    assert [g.label() for g in groups if not out_primes(g) <= {2, 3, 5}] == []
 
 
-def test_out_primes_bounded():
-    """The bound fails where f = 7 or d = 7 puts 7 into |Out|, and holds
-    for small cases, the case groups, A_n and every sporadic group."""
+def test_out_primes():
+    """{2} for A_n and the sporadic groups, {2, 3} where d f = 1 or 3,
+    and 7 enters where f = 7 or d = 7."""
+    for label in ("A5", "A6", "A37", *SPORADIC_DECIMAL):
+        assert out_primes(parse_label(label)) == {2}, label
+    for label in ("U3(27)", "O+8(2)", "G2(11)", "L2(8)"):
+        assert out_primes(parse_label(label)) == {2, 3}, label
+    assert out_primes(parse_label("L2(32)")) == {2, 3, 5}
     for label in ("L2(128)", "L2(2187)", "2B2(128)", "L7(29)", "U7(13)"):
-        assert out_primes_bounded(parse_label(label)) is False, label
-    for label in ("L3(4)", "L2(32)", "O+8(2)", "2B2(8)", "U4(31)", "G2(11)",
-                  "A5", "A6", "A37", *SPORADIC_DECIMAL):
-        assert out_primes_bounded(parse_label(label)) is True, label
+        assert 7 in out_primes(parse_label(label)), label
 
 
 def test_enumerate_range_is_checked_before_any_work(monkeypatch):

@@ -194,6 +194,26 @@ def test_bad_argument_is_usage_error(argv, message, capsys):
     assert "Traceback" not in err_text
 
 
+_ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "L2", _ONES], f"invalid int value: '{_ONES}'"),
+    (["enumerate", "--max-prime", _ONES],
+     f"{_ONES} is above 10000, the largest supported bound"),
+], ids=["param", "max-prime"])
+def test_argument_beyond_the_int_digit_limit_is_usage_error(argv, message, capsys):
+    """int() refuses more than 4,300 digits; the argument is still a
+    usage error in the pinned wording, never argparse's fallback, which
+    names the private type function."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert message in err_text
+    assert "_int" not in err_text and "_prime" not in err_text
+
+
 def test_unknown_family_selector(capsys):
     assert main(["spectrum", "X4", "31"]) == 1
     assert "unknown family" in capsys.readouterr().err

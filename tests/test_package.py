@@ -11,7 +11,7 @@ PUBLIC = {
     "arith": ["Factorization", "divisor_closure", "factorize", "is_smooth",
               "maximal_under_divisibility", "parse_factorization"],
     "catalog": ["GroupId", "ParameterError", "canonicalize", "enumerate_S_p",
-                "order_of", "order_value", "out_primes_bounded", "parse_label",
+                "order_of", "order_value", "out_primes", "parse_label",
                 "s37_reference", "sporadic_order"],
     "graph": ["CauchyConsistencyError", "DegreePattern", "OrderComponents",
               "PrimeGraph", "build_gk", "components", "degree_pattern",

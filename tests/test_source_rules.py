@@ -156,13 +156,8 @@ def test_oracle_imports_no_closed_form():
 _INVARIANT_ERRORS = {"CauchyConsistencyError", "FormViolationError", "ClosureError"}
 
 
-def test_every_error_class_picks_a_side():
-    """Each exception class that gkod defines either derives from
-    catalog.ParameterError, a request outside gkod's coverage that gk
-    reports as exit 1, or is one of the named invariant errors, which must
-    not derive from it."""
-    from gkod.catalog import ParameterError
-
+def _gkod_errors():
+    """Each exception class that a gkod module defines, by name."""
     errors = {}
     for path in sorted(SRC.glob("*.py")):
         name = "gkod" if path.stem == "__init__" else f"gkod.{path.stem}"
@@ -170,7 +165,47 @@ def test_every_error_class_picks_a_side():
         errors.update((cls.__name__, cls) for cls in vars(module).values()
                       if isinstance(cls, type) and issubclass(cls, BaseException)
                       and cls.__module__ == name)
+    return errors
+
+
+def test_every_error_class_picks_a_side():
+    """Each exception class that gkod defines either derives from
+    catalog.ParameterError, a request outside gkod's coverage that gk
+    reports as exit 1, or is one of the named invariant errors, which must
+    not derive from it."""
+    from gkod.catalog import ParameterError
+
+    errors = _gkod_errors()
     assert _INVARIANT_ERRORS <= set(errors)
     wrong = sorted(name for name, cls in errors.items()
                    if issubclass(cls, ParameterError) == (name in _INVARIANT_ERRORS))
     assert not wrong, f"error classes on the wrong side of ParameterError: {wrong}"
+
+
+def _caught_names(tree):
+    """(line, name) for each class named by an except clause or by a
+    suppress(...) call under tree, read as a bare or dotted name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id",
+              getattr(node.func, "attr", None)) == "suppress"):
+            caught = node.args
+        else:
+            continue
+        yield from ((node.lineno, getattr(c, "id", getattr(c, "attr", None)))
+                    for c in caught)
+
+
+def test_coverage_gaps_are_caught_at_the_root():
+    """Code that handles a request outside gkod's coverage catches
+    catalog.ParameterError itself, never one of its subclasses, so a
+    coverage gap of another kind cannot slip past the handler."""
+    from gkod.catalog import ParameterError
+
+    narrow = {name for name, cls in _gkod_errors().items()
+              if issubclass(cls, ParameterError) and cls is not ParameterError}
+    found = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+             for line, name in _caught_names(ast.parse(path.read_text()))
+             if name in narrow]
+    assert not found, f"handlers of a ParameterError subclass: {found}"

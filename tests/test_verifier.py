@@ -1,15 +1,22 @@
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from oracle_ref import enumerate_with_pattern_sets
 
-from gkod.arith import parse_factorization
-from gkod.catalog import ParameterError, enumerate_S_p, order_of, parse_label
+from gkod.catalog import (
+    CHARACTERISTIC_BOUND,
+    ParameterError,
+    enumerate_S_p,
+    order_of,
+    parse_label,
+)
 from gkod.graph import PrimeGraph, build_gk, degree_pattern
 from gkod.spectra import spectrum_of
 from gkod.verifier import (
+    CASE_PI,
     VERIFIED,
     candidate_filter,
     enumerate_with_pattern,
@@ -200,17 +207,19 @@ def test_s4_31_alternatives_all_applicable():
         assert 13 in res.t_witness and 37 in res.t_witness
 
 
+def _s37_orders():
+    return {P: order_of(P) for P in enumerate_S_p(37)}
+
+
 def test_candidate_filter_singletons():
-    s37 = enumerate_S_p(37)
     cases = [
-        ("7^2·13·19·37", "U3(27)", ["U3(27)"]),
-        ("7^2·19·37", "U4(31)", ["U4(31)"]),
-        ("13·31^4·37", "S4(31)", ["S4(31)"]),
-        ("37", "L2(37)", ["L2(37)"]),
+        ((7, 13, 19, 37), "U3(27)", ["U3(27)"]),
+        ((7, 19, 37), "U4(31)", ["U4(31)"]),
+        ((13, 31, 37), "S4(31)", ["S4(31)"]),
+        ((37,), "L2(37)", ["L2(37)"]),
     ]
-    for m_text, against, expected in cases:
-        m = parse_factorization(m_text)
-        got = candidate_filter(m, order_of(parse_label(against)), s37)
+    for pi, against, expected in cases:
+        got = candidate_filter(order_of(parse_label(against)), pi, _s37_orders())
         assert [g.label() for g in got] == expected
 
 
@@ -218,7 +227,8 @@ def test_candidate_filter_divides_constraint_matters():
     # U3(27) satisfies the divisor 7^2*19*37 but its order does not divide
     # |U4(31)| (3^9 does not divide 3^2), so only the divides-side keeps the
     # U4(31) filter a singleton
-    m = parse_factorization("7^2·19·37")
+    m = order_of(parse_label("U4(31)")).restrict((7, 19, 37))
+    assert str(m) == "7^2·19·37"
     assert m.divides(order_of(parse_label("U3(27)")))
     assert not order_of(parse_label("U3(27)")).divides(
         order_of(parse_label("U4(31)")))
@@ -227,10 +237,18 @@ def test_candidate_filter_divides_constraint_matters():
 def test_candidate_filter_g2_11_needs_degree_lift():
     # order divisibility alone leaves two candidates; the degree-lift in
     # verify_case eliminates L2(1331)
-    s37 = enumerate_S_p(37)
-    m = parse_factorization("7·19·37")
-    got = candidate_filter(m, order_of(parse_label("G2(11)")), s37)
+    got = candidate_filter(order_of(parse_label("G2(11)")), (7, 19, 37),
+                           _s37_orders())
     assert [g.label() for g in got] == ["L2(1331)", "G2(11)"]
+
+
+def test_candidate_filter_divisor_skips_out_primes():
+    """Only the primes of pi outside out_primes(P) must divide |P| to
+    their full power in |S|: 2 is an Out prime of every candidate, so
+    with pi = {2} nothing is required and L2(961) passes beside S4(31)."""
+    order = order_of(parse_label("S4(31)"))
+    got = candidate_filter(order, (2,), _s37_orders())
+    assert [g.label() for g in got] == ["L2(961)", "S4(31)"]
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +285,72 @@ def test_verify_case_g2_11_filter_details():
 
 
 @pytest.mark.parametrize("label", ["S4(31)", "U3(27)", "G2(11)", "U4(31)"])
-def test_candidate_outside_out_bound_is_unchecked(label, monkeypatch):
-    """A filter candidate that fails the Out bound is listed as unchecked,
-    which fails the filter stage."""
-    monkeypatch.setattr("gkod.verifier.out_primes_bounded",
-                        lambda P: P.label() != label)
+def test_out_primes_covering_pi_fails_filter(label, monkeypatch):
+    """Where every prime of pi may divide |Out(P)|, no prime of |S| is
+    required of a candidate, so more than S passes the filter."""
+    monkeypatch.setattr("gkod.verifier.out_primes",
+                        lambda P: frozenset(CASE_PI[label]))
     rep = verify_case(label)
-    assert rep.filter["unchecked"] == [label]
-    assert label not in rep.filter["survivors"]
     assert rep.verdict == "failed(filter)"
+    assert label in rep.filter["divisibility"]
+    assert len(rep.filter["divisibility"]) > 1
 
 
-def test_verify_case_tampered_pattern_fails_enumeration():
-    rep = verify_case("U3(27)", pattern=(3, 2, 3, 2, 1, 0))
+def test_verify_case_tampered_pattern_fails_enumeration(monkeypatch):
+    monkeypatch.setattr("gkod.verifier.degree_pattern",
+                        lambda gk: SimpleNamespace(degrees=(3, 2, 3, 2, 1, 0)))
+    rep = verify_case("U3(27)")
     assert rep.verdict == "failed(enumeration)"
+
+
+# the least subsets of each paper pi for which the filter leaves exactly [S]
+LEAST_PI = {
+    "S4(31)": {31},
+    "U3(27)": {7},
+    "G2(11)": {7, 37},
+    "U4(31)": {7, 37},
+}
+
+
+@pytest.mark.parametrize("label", sorted(LEAST_PI))
+def test_verdict_needs_a_least_pi(label, monkeypatch):
+    """Over every nonempty subset of the paper's pi, the case verifies
+    exactly when the subset contains the least set."""
+    paper_pi = CASE_PI[label]
+    for r in range(1, len(paper_pi) + 1):
+        for pi in itertools.combinations(paper_pi, r):
+            monkeypatch.setitem(CASE_PI, label, pi)
+            rep = verify_case(label)
+            assert (rep.verdict == VERIFIED) == (LEAST_PI[label] <= set(pi)), pi
+
+
+@pytest.mark.parametrize("label,count", [
+    ("S4(31)", 7), ("U3(27)", 9), ("G2(11)", 18), ("U4(31)", 21),
+])
+def test_pi_two_fails_filter(label, count, monkeypatch):
+    """2 is an Out prime of every candidate, so a radical that avoids
+    only the prime 2 requires nothing of |P|: every simple group whose
+    order divides |S| passes divisibility."""
+    monkeypatch.setitem(CASE_PI, label, (2,))
+    rep = verify_case(label)
+    assert rep.verdict == "failed(filter)"
+    assert len(rep.filter["divisibility"]) == count
+
+
+def test_u4_31_without_37_keeps_u3_31(monkeypatch):
+    """With pi = {7, 19}, U3(31), of characteristic 31 and so outside S_37,
+    passes the filter beside U4(31)."""
+    monkeypatch.setitem(CASE_PI, "U4(31)", (7, 19))
+    rep = verify_case("U4(31)")
+    assert rep.verdict == "failed(filter)"
+    assert "U3(31)" in rep.filter["survivors"]
+
+
+@pytest.mark.parametrize("label", sorted(CASE_PI))
+def test_case_primes_within_characteristic_bound(label):
+    """The filter's catalog is complete because each prime l of |S| is at
+    most CHARACTERISTIC_BOUND, up to which enumerate_S_p(l) is complete."""
+    assert order_of(parse_label(label)).primes()[-1] <= CHARACTERISTIC_BOUND
 
 
 def test_verify_case_unknown_group():
@@ -309,9 +379,10 @@ def test_forcing_pivot_needs_gk_in_family():
     assert forcing_pivot(gk, without) is None
 
 
-def test_verify_case_non_forcing_pivot_fails_forced():
+def test_verify_case_non_forcing_pivot_fails_forced(monkeypatch):
     # 2 ~ 3 is an edge of GK(S4(31)), but 11 family members carry it
-    rep = verify_case("S4(31)", pivot=(2, 3))
+    monkeypatch.setattr("gkod.verifier.forcing_pivot", lambda gk, family: (2, 3))
+    rep = verify_case("S4(31)")
     assert rep.verdict == "failed(forced)"
     assert rep.forced == {"count": 11, "all_equal_gk": False}
 
