@@ -8,7 +8,6 @@ this convention.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log2, prod
 
@@ -180,21 +179,74 @@ def prime_power(q: int):
     return (q, 1) if is_prime(q) else None
 
 
+class Record:
+    """Base of gkod's immutable value classes.
+
+    A subclass's fields are the names annotated in its body, in order; a
+    class attribute of the same name is the field's default.  At class
+    creation one exec makes the subclass's __init__, which sets the fields
+    and then runs __post_init__ when the class has one, and __eq__ and
+    __hash__, which compare and hash the tuple of fields between instances
+    of the same class; a subclass declared with eq=False keeps identity
+    instead.  __match_args__ lists the fields, as for a dataclass, so a
+    class pattern may name them by position.  Instances refuse assignment
+    and deletion, and trusted() is the one way to build one without
+    __init__."""
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        namespace = {"_set": object.__setattr__}
+        params = []
+        for name in names:
+            if name in vars(cls):
+                namespace[f"_default_{name}"] = vars(cls)[name]
+                name += f"=_default_{name}"
+            params.append(name)
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        if eq:
+            mine = "(" + "".join(f"self.{name}, " for name in names) + ")"
+            lines += ["def __eq__(self, other):",
+                      "    if other.__class__ is self.__class__:",
+                      f"        return {mine} == {mine.replace('self.', 'other.')}",
+                      "    return NotImplemented",
+                      "def __hash__(self):",
+                      f"    return hash({mine})"]
+        exec("\n".join(lines), namespace)
+        for method in ("__init__", "__eq__", "__hash__"):
+            if method in namespace:
+                namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, namespace[method])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def trusted(cls, **fields):
-    """An instance of the frozen dataclass cls holding the given fields,
-    without running __post_init__.  For values a gkod routine has just
-    built to the class invariants; outside data goes through cls(...),
-    which checks them."""
+    """An instance of the Record subclass cls holding the given fields,
+    without running its __init__ and so its __post_init__ checks.  For
+    values a gkod routine has just built to the class invariants; outside
+    data goes through cls(...), which checks them."""
     obj = object.__new__(cls)
-    # as the dataclass __init__ does; writing obj.__dict__ would give every
+    # as Record's __init__ does; writing obj.__dict__ would give every
     # instance a dict of its own, about 90 bytes more
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Multiset of (prime, exponent) pairs plus an unfactored residual.
 
     Invariants: primes strictly increasing, exponents >= 1, and residual is

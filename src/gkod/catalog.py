@@ -13,17 +13,17 @@ in characteristic up to CHARACTERISTIC_BOUND, so the result is complete for
 p <= CHARACTERISTIC_BOUND.
 """
 
+import os
 import re
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from importlib.resources import files
 from itertools import count
 from math import factorial, gcd, prod
 
 from .arith import (
     MAX_PRIME_BOUND,
     Factorization,
+    Record,
     divisors,
     factorize,
     is_prime,
@@ -63,8 +63,7 @@ class ParameterError(ValueError):
     as exit 1; an error that signals a broken invariant is not one."""
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(Record):
     """Tagged identifier of a finite simple group.
 
     family is one of FAMILIES; n is the subscript (alternating degree or
@@ -113,12 +112,13 @@ def parse_label(text: str) -> GroupId:
 
 def _read_records(fname):
     out = []
-    text = files("gkod.data").joinpath(fname).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, _, val = line.partition("|")
-            out.append((key, val))
+    path = os.path.join(os.path.dirname(__file__), "data", fname)
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                key, _, val = line.partition("|")
+                out.append((key, val))
     return out
 
 

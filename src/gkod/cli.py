@@ -4,7 +4,9 @@ enumeration, oracle cross-checks and the mechanized case verification.
 Each command imports only the layers it runs.  `enumerate` loads arith
 and catalog; the other commands add spectra and their own layers: `graph`
 the graph layer, `table1` and `verify` the graph layer and the verifier,
-and `oracle` the oracle, the only layer that needs numpy.
+and `oracle` the oracle, the only layer that needs numpy.  No command
+but `oracle` loads dataclasses or inspect: gkod's value classes derive
+from arith.Record, whose methods are generated without them.
 
 Exit status: 0 on success (and verified cases), 1 on verification failure,
 an oracle mismatch or a request outside gkod's coverage (any
@@ -18,7 +20,6 @@ import os
 import re
 import sys
 from contextlib import suppress
-from dataclasses import replace
 
 from . import catalog
 from .arith import MAX_PRIME_BOUND, is_prime
@@ -33,7 +34,9 @@ def parse_selector(family: str, param: int) -> GroupId:
         g = catalog.parse_label("A1" if family in ("A", "Alt") else f"{family}(1)")
     except ValueError as exc:
         raise ParameterError(f"unknown family selector {family!r}") from exc
-    return replace(g, n=param) if g.family == "A" else replace(g, q=param)
+    if g.family == "A":
+        return GroupId("A", n=param)
+    return GroupId(g.family, n=g.n, q=param)
 
 
 def _seed() -> int:
@@ -204,6 +207,8 @@ def cmd_verify(args) -> int:
         filt = report.filter
         print(f"  filter by {filt['required']}: divisibility -> "
               f"{filt['divisibility']}, survivors -> {filt['survivors']}")
+        if filt["unchecked"]:
+            print(f"  unchecked -> {filt['unchecked']}")
         print("  assumed facts:")
         for fact in report.assumed_facts:
             print(f"    - {fact}")

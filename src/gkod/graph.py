@@ -14,10 +14,16 @@ entry for outside data; the graphs gkod builds skip those checks.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .arith import MAX_PRIME_BOUND, Factorization, factorize, is_prime, trusted
+from .arith import (
+    MAX_PRIME_BOUND,
+    Factorization,
+    Record,
+    factorize,
+    is_prime,
+    trusted,
+)
 
 
 class CauchyConsistencyError(ValueError):
@@ -31,8 +37,7 @@ class CauchyConsistencyError(ValueError):
         self.prime = prime
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
+class PrimeGraph(Record):
     """Vertices are primes in increasing order; edges are sorted (p, q)
     pairs with p < q.  Immutable and hashable once built.
 
@@ -119,8 +124,7 @@ class PrimeGraph:
                 "edges": [list(e) for e in self.edges]}
 
 
-@dataclass(frozen=True)
-class DegreePattern:
+class DegreePattern(Record):
     """Vertex degrees aligned with the ascending prime order."""
 
     primes: tuple
@@ -142,8 +146,7 @@ class DegreePattern:
         return "(" + ", ".join(str(d) for d in self.degrees) + ")"
 
 
-@dataclass(frozen=True)
-class OrderComponents:
+class OrderComponents(Record):
     """Connected components paired with the coprime parts of the order.
 
     components[i] = (primes_i, m_i); the component containing 2 comes first
@@ -265,8 +268,7 @@ def independence_at(g: PrimeGraph, r: int):
     return _first_max_independent(g, 1 << ir, cand)
 
 
-@dataclass(frozen=True)
-class SuzukiDecomposition:
+class SuzukiDecomposition(Record):
     """Verdict of the clique-decomposition check: every component beyond
     the leading one must induce a complete graph."""
 

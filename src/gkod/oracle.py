@@ -44,13 +44,12 @@ generator.
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import lcm, prod
 
 import numpy as np
 
-from .arith import is_prime, prime_power
+from .arith import Record, is_prime, prime_power
 from .catalog import GroupId, ParameterError, order_terms, order_value
 from .spectra import SOURCE_ORACLE, Spectrum, spectrum_of
 
@@ -386,8 +385,7 @@ def _least_coset_key(tables, keys, n, bits):
     return least
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixGroup:
+class MatrixGroup(Record, eq=False):
     """Fully enumerated matrix group G modulo its scalar subgroup Z: field,
     dimension, the generators that produced it, the sorted canonical keys
     of the cosets of Z (the least key in each coset), and the scalars of Z.
@@ -715,8 +713,7 @@ def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
     return matrix_group(GroupId("U", n=n, q=q), seed)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     target: str
     enumerated: int          # closure size, or number of even permutations
     mu_oracle: Spectrum

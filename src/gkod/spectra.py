@@ -7,11 +7,11 @@ to a divisibility antichain, since the raw formula lists may contain a
 divisor of another member (U4(3) is the standard example: 6 divides 12).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .arith import (
+    Record,
     divisor_closure,
     maximal_under_divisibility,
     prime_power,
@@ -39,8 +39,7 @@ class SpectrumNotImplementedError(ParameterError, NotImplementedError):
         self.family = family
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Antichain of maximal element orders; omega() is its divisor closure."""
 
     mu: tuple

@@ -15,10 +15,9 @@ characterizations) is not re-proved; reports list it under assumed_facts.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
-from .arith import Factorization
+from .arith import Factorization, Record
 from .catalog import (
     GroupId,
     ParameterError,
@@ -40,8 +39,7 @@ from .spectra import spectrum_of
 MAX_PATTERN_VERTICES = 10
 
 
-@dataclass(frozen=True)
-class GraphFamily:
+class GraphFamily(Record):
     """All labeled graphs on the given primes realizing the degree pattern.
 
     feasible is False when no graph can exist for parity/range reasons; the
@@ -109,8 +107,7 @@ def enumerate_with_pattern(primes, pattern) -> GraphFamily:
     return GraphFamily(primes, pattern, tuple(out), True)
 
 
-@dataclass(frozen=True)
-class VasilievResult:
+class VasilievResult(Record):
     """Whether a graph satisfies t >= 3 and t(2, .) >= 2, with witnesses."""
 
     applicable: bool
@@ -190,8 +187,7 @@ def _assumed_facts(label: str, pi: tuple, pivot) -> tuple:
     return tuple(facts)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     """Structured verdict of one mechanized case analysis."""
 
     group: str

@@ -121,7 +121,21 @@ def test_verify_json(capsys):
 def test_verify_text_all_groups(capsys):
     for fam, q in (("S4", "31"), ("U3", "27"), ("G2", "11"), ("U4", "31")):
         assert main(["verify", fam, q]) == 0
-        assert "verdict verified" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "verdict verified" in out
+        assert "unchecked" not in out
+
+
+def test_verify_text_names_the_unchecked_candidates(monkeypatch, capsys):
+    """With 37 left out of pi, L3(11) and J1 pass the divisibility filter
+    and have no pattern check; the text report says so beside the verdict."""
+    from gkod import verifier
+
+    monkeypatch.setitem(verifier.CASE_PI, "G2(11)", (7, 19))
+    assert main(["verify", "G2", "11"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict failed(filter)" in out
+    assert "  unchecked -> ['L3(11)', 'J1']\n" in out
 
 
 def test_verify_unconfigured_group(capsys):
@@ -318,7 +332,12 @@ def _fresh(*args):
 
 
 def _gkod_modules(imported):
-    return {m for m in imported if m.split(".")[0] == "gkod"} - {"gkod.data"}
+    return {m for m in imported if m.split(".")[0] == "gkod"}
+
+
+# the standard-library modules that a gk command other than `gk oracle`
+# must start without (numpy, which the oracle loads, imports inspect)
+_COSTLY_AT_START = {"dataclasses", "inspect"}
 
 
 # every command loads gkod, arith and catalog (main's error boundary names
@@ -348,9 +367,9 @@ def test_command_in_a_fresh_process(argv, golden, layers, capsys):
     its imports would pass them; here each command starts from nothing.
     Its stdout is the golden file's (or, without one, in-process main's),
     it writes nothing to stderr (the tests' filterwarnings does not reach
-    a subprocess, -W error does) and it loads only its own layers.  np.unique
-    would import numpy.ma, 14 ms in a fresh process; the oracle does
-    without it."""
+    a subprocess, -W error does) and it loads only its own layers, with
+    neither dataclasses nor inspect outside the oracle.  np.unique would
+    import numpy.ma, 14 ms in a fresh process; the oracle does without it."""
     out, err, imported = _fresh("-m", "gkod.cli", *argv)
     if golden is None:
         assert main(argv) == 0
@@ -359,6 +378,7 @@ def test_command_in_a_fresh_process(argv, golden, layers, capsys):
     assert err == ""
     assert _gkod_modules(imported) == _BASE | layers
     assert ("numpy" in imported) == (argv[0] == "oracle")
+    assert argv[0] == "oracle" or not _COSTLY_AT_START & imported
     assert "numpy.ma" not in imported
 
 
@@ -373,11 +393,13 @@ _PASSRUN_SETUP = ("import gkod, gkod.cli; gkod.sporadic_order('M11'); "
 def test_start_up_loads_no_layer_it_does_not_run(code, modules):
     """`import gkod` loads no submodule; the start-up that every gk command
     pays (bench/passrun.py's setup step: import gkod.cli, then the first
-    data-table load) loads arith and catalog alone, without numpy."""
+    data-table load) loads arith and catalog alone, without numpy,
+    dataclasses or inspect."""
     out, err, imported = _fresh("-c", code)
     assert out == b"" and err == ""
     assert _gkod_modules(imported) == modules
     assert "numpy" not in imported
+    assert not _COSTLY_AT_START & imported
 
 
 def test_gk_seed_env(monkeypatch, capsys):

@@ -57,10 +57,30 @@ def test_only_the_oracle_imports_numpy(path):
     assert path.name == "oracle.py" or not numpy, f"{path.name} imports {numpy}"
 
 
+# the standard-library modules whose import a gk command would pay at
+# start-up: dataclasses and inspect take about 10 ms, and
+# importlib.resources brings pathlib, typing, zipfile and tempfile
+_SLOW_IMPORTS = ("dataclasses", "importlib.resources", "inspect", "pathlib", "typing")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_slow_standard_library_import(path):
+    """gkod's value classes derive from arith.Record and its data tables
+    are read from the package directory, so no module needs these; the
+    fresh-process tests cannot see all of them, as an interpreter's site
+    may load them first."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    slow = [m for m in _imported_modules(ast.walk(tree))
+            if any(m == s or m.startswith(s + ".") for s in _SLOW_IMPORTS)]
+    assert not slow, f"{path.name} imports {slow}"
+
+
 def test_one_place_skips_the_constructor_checks():
     """Only arith.trusted builds an instance past its class's checks (by
     object.__new__ and object.__setattr__), so every other construction
-    in src/ goes through them."""
+    in src/ goes through them.  The one other site that reaches
+    object.__setattr__ is arith.Record, whose generated __init__ sets the
+    fields and then runs the class's __post_init__."""
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -69,7 +89,19 @@ def test_one_place_skips_the_constructor_checks():
                    and node.attr in ("__new__", "__setattr__", "__dict__")
                    for node in ast.walk(top)):
                 sites.add((path.name, getattr(top, "name", top.lineno)))
-    assert sites == {("arith.py", "trusted")}, sites
+    assert sites == {("arith.py", "Record"), ("arith.py", "trusted")}, sites
+
+    from gkod.arith import Record, trusted
+
+    class Checked(Record):
+        x: int
+
+        def __post_init__(self):
+            raise ValueError("checked")
+
+    with pytest.raises(ValueError, match="checked"):
+        Checked(1)
+    assert trusted(Checked, x=1).x == 1
 
 
 def test_no_private_import_across_src_modules():
