@@ -261,6 +261,8 @@ class Factorization(Record):
         ps = [p for p, _ in self.factors]
         if ps != sorted(set(ps)):
             raise ValueError("primes must be strictly increasing")
+        if bad := [p for p in ps if not is_prime(p)]:
+            raise ValueError(f"{bad[0]} is not prime")
         if any(e < 1 for _, e in self.factors):
             raise ValueError("exponents must be >= 1")
         if self.residual < 1:

@@ -41,9 +41,9 @@ class PrimeGraph(Record):
     """Vertices are primes in increasing order; edges are sorted (p, q)
     pairs with p < q.  Immutable and hashable once built.
 
-    The constructor checks that order and that every edge joins two
-    vertices; gkod's own builders go through _from_masks, which takes the
-    bitmask adjacency and reads the edges off it.
+    The constructor checks those and that every edge joins two vertices;
+    gkod's own builders go through _from_masks, which takes the bitmask
+    adjacency and reads the edges off it.
     """
 
     vertices: tuple
@@ -52,6 +52,8 @@ class PrimeGraph(Record):
     def __post_init__(self):
         if list(self.vertices) != sorted(set(self.vertices)):
             raise ValueError("vertices must be strictly increasing")
+        if bad := [p for p in self.vertices if not is_prime(p)]:
+            raise ValueError(f"vertex {bad[0]} is not prime")
         vs = set(self.vertices)
         for p, q in self.edges:
             if p >= q:

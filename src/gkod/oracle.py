@@ -370,10 +370,13 @@ def form_center(F, n, gram=None, e=1):
                  if is_isometry(F, _scalar_matrix(n, lam), gram, e))
 
 
+@lru_cache(maxsize=32)
 def _center_tables(F, n, bits, center):
-    """One row table per lam in center, multiplying by lam*I; None for 1."""
-    return [None if lam == 1 else _row_table(F, n, bits, _scalar_matrix(n, lam))
-            for lam in center]
+    """One row table per lam in center, multiplying by lam*I; None for 1.
+    Cached: a group's closure and its class scan share one build."""
+    return tuple(None if lam == 1
+                 else _row_table(F, n, bits, _scalar_matrix(n, lam))
+                 for lam in center)
 
 def _least_coset_key(tables, keys, n, bits):
     """Least key among lam*x over the scalars behind tables, for every key
@@ -441,7 +444,7 @@ def _close_once(F, dim, gens, target, center):
 
 
 def closure(generators, target_order: int, field: Field, dim: int,
-            sample=None, center=(1,)) -> MatrixGroup:
+            sample, center) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication,
     modulo the scalar subgroup Z whose scalars center lists.
 
@@ -452,9 +455,8 @@ def closure(generators, target_order: int, field: Field, dim: int,
     in G' as well as in Z(G), hence in the Frattini subgroup (Gaschuetz),
     whose elements are never needed as generators.  On an undershoot (the
     generators span a proper subgroup) the generator sample() returns is
-    added and the closure restarts, up to MAX_RETRIES times; with no
-    sample, an undershoot fails at once.  Growth past the target raises
-    FormViolationError immediately.
+    added and the closure restarts, up to MAX_RETRIES times.  Growth past
+    the target raises FormViolationError immediately.
     """
     if target_order > MAX_CLOSURE:
         raise ValueError(f"target order {target_order} above MAX_CLOSURE = {MAX_CLOSURE}")
@@ -466,40 +468,35 @@ def closure(generators, target_order: int, field: Field, dim: int,
         elements = _close_once(field, dim, gens, cosets, center)
         if elements.size == cosets:
             return MatrixGroup(field, dim, tuple(gens), elements, tuple(center))
-        if sample is None:
-            break
         gens.append(sample())
     raise ClosureError(
         f"closure stalled at {elements.size} of {cosets} cosets after retries")
 
 
-def _conjugation_map(group, g, scalars):
-    """Index into group.elements of the coset of g^-1 x g, for every x;
-    scalars are the group's _center_tables.
+def _conjugation_map(group, g):
+    """Conjugation by g^-1 on the indices of group.elements: the
+    permutation that sorts the conjugates g^-1 x g of the elements x, so
+    entry i is the index of the x whose conjugate is element i.
 
     Conjugation permutes the cosets of Z, so sorting the conjugates must
     give group.elements back; anything else raises FormViolationError.
-    The map is then the inverse of the sorting permutation.  Conjugates,
-    check and scatter go in _CHUNK pieces, for cache and memory alike: a
-    piece's temporaries stay in L2, and only the conjugates, written into
-    one array allocated up front, and their sorting permutation have the
-    size of the group, 16 bytes per coset beside the elements and the
-    maps already built.  The conjugates are freed before the map is
-    allocated."""
+    Conjugates and check go in _CHUNK pieces, for cache and memory alike:
+    a piece's temporaries stay in L2, and only the conjugates, written
+    into one array allocated up front, and their sorting permutation have
+    the size of the group, 16 bytes per coset beside the elements and the
+    maps already built; the conjugates are freed before the int32 copy."""
     F, n, el = group.field, group.dim, group.elements
     bits = _bits_for(F)
+    scalars = _center_tables(F, n, bits, group.center_scalars)
     # x -> (x g)^T, then y^T -> ((y^T) (g^-1)^T)^T = g^-1 y
     right = _row_table(F, n, bits, g, transpose=True)
     left = _row_table(F, n, bits, _inverse_transpose(F, g), transpose=True)
-
-    def conjugates(x):
-        y = _apply(left, _apply(right, x, n, bits, True), n, bits, True)
-        return _least_coset_key(scalars, y, n, bits)
-
     pieces = range(0, el.size, _CHUNK)
     conj = np.empty_like(el)
     for lo in pieces:
-        conj[lo:lo + _CHUNK] = conjugates(el[lo:lo + _CHUNK])
+        y = _apply(left, _apply(right, el[lo:lo + _CHUNK], n, bits, True),
+                   n, bits, True)
+        conj[lo:lo + _CHUNK] = _least_coset_key(scalars, y, n, bits)
     order = np.argsort(conj)
     for lo in pieces:
         if not np.array_equal(conj[order[lo:lo + _CHUNK]], el[lo:lo + _CHUNK]):
@@ -507,20 +504,16 @@ def _conjugation_map(group, g, scalars):
                 "the conjugates by a generator are not the enumerated "
                 "elements")
     del conj
-    out = np.empty(el.size, dtype=np.int32)
-    for lo in pieces:
-        part = order[lo:lo + _CHUNK]
-        out[part] = np.arange(lo, lo + part.size, dtype=np.int32)
-    return out
+    return order.astype(np.int32)
 
 
 def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
     """Class label of every element of G/Z: the index in group.elements
     of the least key in its conjugacy class.
 
-    Conjugation by the generators generates the conjugation action, so
-    the classes are the orbits of these maps.  Labels start as the
-    indices; min-labels propagate along each map, and pointer jumping
+    Conjugation by the generators' inverses generates the conjugation
+    action, so the classes are the orbits of these maps.  Labels start as
+    the indices; min-labels propagate along each map, and pointer jumping
     shortens the chains, until a pass changes nothing.  Both work in
     place, one _CHUNK piece at a time, for cache and memory alike: a
     piece is read while it is in L2, and no pass allocates a label-sized
@@ -535,9 +528,7 @@ def conjugacy_classes(group: MatrixGroup) -> np.ndarray:
     on its cycles, hence on whole classes.  The least index in a class
     can carry no label but itself, so that is the class's label.
     """
-    scalars = _center_tables(group.field, group.dim, _bits_for(group.field),
-                             group.center_scalars)
-    maps = [_conjugation_map(group, g, scalars) for g in group.generators]
+    maps = [_conjugation_map(group, g) for g in group.generators]
     label = np.arange(group.elements.size, dtype=np.int32)
     pieces = [slice(lo, lo + _CHUNK) for lo in range(0, label.size, _CHUNK)]
     total = None

@@ -15,6 +15,7 @@ characterizations) is not re-proved; reports list it under assumed_facts.
 """
 
 import itertools
+import operator
 from functools import cache
 
 from .arith import Factorization, Record
@@ -65,8 +66,10 @@ def enumerate_with_pattern(primes, pattern) -> GraphFamily:
     prime order), which yields each graph exactly once in a deterministic
     order.  Each graph is built from its masks.
     """
-    primes = tuple(primes)
-    pattern = tuple(int(d) for d in pattern)
+    primes, pattern = tuple(primes), tuple(pattern)
+    if bad := [d for d in pattern if not hasattr(d, "__index__")]:
+        raise ValueError(f"degree {bad[0]!r} is not an integer")
+    pattern = tuple(map(operator.index, pattern))
     if len(primes) != len(pattern) or len(primes) > MAX_PATTERN_VERTICES:
         raise ValueError("need matching prime/degree lists of length <= 10")
     if list(primes) != sorted(set(primes)):

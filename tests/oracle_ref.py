@@ -388,13 +388,15 @@ def element_order_by_exponent(F, M, exponent_multiple, center_scalars) -> int:
     return o
 
 
-def conjugation_map_searchsorted(group, g, scalars):
+def conjugation_map_searchsorted(group, g):
     """Index into group.elements of the coset of g^-1 x g, for every x, by
     binary search: each _CHUNK piece of conjugates is sorted, looked up in
     group.elements with searchsorted, and a key not found there raises
-    FormViolationError."""
+    FormViolationError.  This is conjugation by g, the inverse of
+    gkod.oracle._conjugation_map, and has the same orbits."""
     F, n, el = group.field, group.dim, group.elements
     bits = _bits_for(F)
+    scalars = _center_tables(F, n, bits, group.center_scalars)
     right = _row_table(F, n, bits, g, transpose=True)
     left = _row_table(F, n, bits, _inverse_transpose(F, g), transpose=True)
     out = np.empty(el.size, dtype=np.int32)
@@ -418,9 +420,7 @@ def class_labels_whole_array(group):
     pass takes the minimum along every map and then jumps pointers, both
     over the whole label array at once, and compares the result with a
     copy taken before the pass."""
-    scalars = _center_tables(group.field, group.dim, _bits_for(group.field),
-                             group.center_scalars)
-    maps = [_conjugation_map(group, g, scalars) for g in group.generators]
+    maps = [_conjugation_map(group, g) for g in group.generators]
     label = np.arange(group.elements.size, dtype=np.int32)
     while True:
         prev = label.copy()

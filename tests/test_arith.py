@@ -120,10 +120,19 @@ def test_factorization_restrict():
     (((2, 1), (2, 3)), 1),   # repeated prime
     (((2, 1), (3, 0)), 1),   # zero exponent
     (((2, 1),), 0),          # residual below 1
+    (((4, 1),), 1),          # composite "prime"
+    (((1, 2),), 1),          # 1 is no prime
 ])
 def test_factorization_constructor_checks(factors, residual):
     with pytest.raises(ValueError):
         Factorization(factors, residual)
+
+
+def test_parse_factorization_rejects_a_composite():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        parse_factorization("4")
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        parse_factorization("2^3·9")
 
 
 # psi_12: the least strong pseudoprime to the first 12 prime bases 2..37

@@ -144,6 +144,8 @@ def test_degree_pattern_validation():
     ((2, 3, 5), ((2, 3), (2, 3))),       # duplicate edge
     ((2, 3, 5), ((3, 2),)),              # edge not normalized
     ((2, 3, 5), ((3, 5), (2, 3))),       # edges not sorted
+    ((2, 4), ((2, 4),)),                 # composite vertex
+    ((1, 2, 3), ()),                     # 1 is no prime
 ])
 def test_prime_graph_constructor_checks(vertices, edges):
     with pytest.raises(ValueError):

@@ -184,6 +184,11 @@ def test_closure_deterministic_with_seed():
     assert (a.elements == b.elements).all()
 
 
+def _no_sample():
+    """The sampler of a closure that must not resample."""
+    pytest.fail("the closure asked for another generator")
+
+
 def test_closure_overshoot_is_form_violation(monkeypatch):
     # the two transvections generate SL2(5); the determinant-2 matrix
     # escapes it, so the closure must blow past the 120 target, also when
@@ -194,19 +199,38 @@ def test_closure_overshoot_is_form_violation(monkeypatch):
     for chunk in (oracle._CHUNK, 3):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         with pytest.raises(FormViolationError):
-            closure(transvections + [bad], 120, F, 2)
+            closure(transvections + [bad], 120, F, 2, _no_sample, (1,))
 
 
 def test_closure_target_above_max_closure():
     with pytest.raises(ValueError):
-        closure([], MAX_CLOSURE + 1, make_field(5, 1), 2)
+        closure([], MAX_CLOSURE + 1, make_field(5, 1), 2, _no_sample, (1,))
 
 
-def test_closure_undershoot_without_sampler():
+def test_closure_undershoot_with_a_stalled_sampler():
+    # every resample adds the same unipotent, so the closure stays at its
+    # 5 elements through all MAX_RETRIES restarts; each of the
+    # MAX_RETRIES + 1 closures that falls short draws one generator
     F = make_field(5, 1)
-    unipotent = ((1, 1), (0, 1))  # alone generates only 5 elements
+    unipotent = ((1, 1), (0, 1))
+    drawn = []
+
+    def sample():
+        drawn.append(unipotent)
+        return unipotent
+
     with pytest.raises(ClosureError):
-        closure([unipotent], 120, F, 2)
+        closure([unipotent], 120, F, 2, sample, (1,))
+    assert len(drawn) == oracle.MAX_RETRIES + 1
+
+
+def test_closure_needs_a_sampler_and_a_center():
+    F = make_field(5, 1)
+    transvections = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    with pytest.raises(TypeError):
+        closure(transvections, 120, F, 2)
+    with pytest.raises(TypeError):
+        closure(transvections, 120, F, 2, _no_sample)
 
 
 @pytest.mark.parametrize("name", sorted(_MATRIX_TARGETS))
@@ -414,7 +438,8 @@ def test_closure_without_a_central_scalar_is_form_violation(drop):
     grp = su_group(3, 2)
     center = tuple(lam for lam in grp.center_scalars if lam != drop)
     with pytest.raises(FormViolationError):
-        closure(grp.generators, grp.order, grp.field, grp.dim, center=center)
+        closure(grp.generators, grp.order, grp.field, grp.dim, _no_sample,
+                center)
 
 
 @pytest.mark.parametrize("name,count", [
@@ -424,7 +449,8 @@ def test_conjugacy_class_counts(name, count):
     """SL2(q) has q + 4 classes for odd q and q + 1 for even q; closed
     with the trivial centre, the group is the whole linear group."""
     grp = _SMALL_GROUPS[name]()
-    full = closure(grp.generators, grp.order, grp.field, grp.dim)
+    full = closure(grp.generators, grp.order, grp.field, grp.dim,
+                   _no_sample, (1,))
     assert full.elements.size == grp.order
     assert np.unique(conjugacy_classes(full)).size == count
 
@@ -481,11 +507,12 @@ _BENCH_TARGETS = ["SL2_4", "SL2_5", "SL2_7", "SL2_9", "SL2_13", "SL2_37",
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
 @pytest.mark.parametrize("name", _BENCH_TARGETS)
 def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
-    """Maps equal to the binary-search ones for every generator, and class
-    labels equal to the whole-array propagation and to those from the
-    binary-search maps.  With a chunk, every pass of the closure and the
-    scan goes in many pieces, the last one ragged, and the closure must
-    give the elements of the default piece size."""
+    """Maps that invert the binary-search ones for every generator (the
+    sort reads off conjugation by g^-1, the search conjugation by g), and
+    class labels equal to the whole-array propagation and to those from
+    the binary-search maps.  With a chunk, every pass of the closure and
+    the scan goes in many pieces, the last one ragged, and the closure
+    must give the elements of the default piece size."""
     build = partial(matrix_group, _MATRIX_TARGETS[name])
     grp = build(seed=seed)
     if chunk is not None:
@@ -493,11 +520,11 @@ def test_conjugation_map_matches_searchsorted(name, seed, chunk, monkeypatch):
         default, grp = grp, build(seed=seed)
         assert grp.generators == default.generators
         assert np.array_equal(grp.elements, default.elements)
-    scalars = _center_tables(grp.field, grp.dim, _bits_for(grp.field),
-                             grp.center_scalars)
     for g in grp.generators:
-        got = _conjugation_map(grp, g, scalars)
-        want = conjugation_map_searchsorted(grp, g, scalars)
+        got = _conjugation_map(grp, g)
+        forward = conjugation_map_searchsorted(grp, g)
+        want = np.empty_like(forward)
+        want[forward] = np.arange(forward.size, dtype=forward.dtype)
         assert got.dtype == want.dtype and np.array_equal(got, want), g
     label = conjugacy_classes(grp)
     assert np.array_equal(label, class_labels_whole_array(grp))

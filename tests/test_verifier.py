@@ -1,8 +1,10 @@
 import itertools
 import json
 import random
+import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from oracle_ref import enumerate_with_pattern_sets
 
@@ -120,6 +122,27 @@ def test_infeasible_patterns_flagged():
     assert not odd.feasible and len(odd) == 0
     toobig = enumerate_with_pattern((2, 3), (2, 2))
     assert not toobig.feasible
+
+
+@pytest.mark.parametrize("pattern", [
+    (1.5, 1, 0.5),                      # truncated, it would read (1, 1, 0)
+    (1.0, 1, 0),
+    ("1", "1", "0"),
+    (1, 1, np.float64(0)),
+])
+def test_enumerate_with_pattern_rejects_non_integral_degrees(pattern):
+    bad = next(d for d in pattern if not isinstance(d, int))
+    with pytest.raises(ValueError, match=re.escape(f"degree {bad!r} ")):
+        enumerate_with_pattern((2, 3, 5), pattern)
+
+
+def test_enumerate_with_pattern_takes_integer_degrees():
+    want = enumerate_with_pattern((2, 3, 5), (1, 1, 0))
+    assert want.pattern == (1, 1, 0) and len(want) == 1
+    for pattern in [(np.int64(1), np.int8(1), np.uint16(0)), (True, 1, False)]:
+        got = enumerate_with_pattern((2, 3, 5), pattern)
+        assert got == want
+        assert all(type(d) is int for d in got.pattern)
 
 
 def _same_family(primes, pattern):
