@@ -203,11 +203,10 @@ def canonicalize(g: GroupId) -> GroupId:
 def order_terms(fam: str, n, q: int):
     """(prefix, terms, d) with |G| = prefix * product(terms) / d for the
     Lie-type group G of family fam, dimension n (None for the exceptional
-    families) and field size q; d is the order of the centre that the
-    oracle's closures divide out of their target, prefix * product(terms).
+    families) and field size q.
 
     It validates nothing (O4(3) gets the terms of O3(3)): callers validate
-    first, as order_value does; the tests close the non-simple SU_3(2).
+    first, as order_value does.
 
     Term lists are arranged so that within one family and fixed q, every
     term of dimension n divides some term at each larger dimension; the

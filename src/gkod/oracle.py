@@ -3,11 +3,11 @@
 Three independent mechanisms live here: finite-field arithmetic over
 F_{p^k} (elements encoded as base-p digit integers, every operation a
 lookup in q x q numpy tables), matrix-group closure under multiplication
-certified by hitting exactly the order given by the catalog's order
-terms (catalog.order_terms), and even-permutation enumeration for small
-alternating groups.  Each named target (run_target) sets the spectrum it
-enumerates against spectra.spectrum_of, the dispatch that every gk
-command takes, so the formula side is the one gk reports.
+certified by reaching exactly |S| = order_value(g) cosets of the centre,
+and even-permutation enumeration for small alternating groups.  Each
+named target (run_target) sets the spectrum it enumerates against
+spectra.spectrum_of, the dispatch that every gk command takes, so the
+formula side is the one gk reports.
 
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
@@ -45,30 +45,30 @@ generator.
 
 import random
 from functools import lru_cache, partial
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
 from .arith import Record, is_prime, prime_power
-from .catalog import GroupId, ParameterError, order_terms, order_value
+from .catalog import GroupId, ParameterError, order_value
 from .spectra import SOURCE_ORACLE, Spectrum, spectrum_of
 
 DEFAULT_SEED = 0xA11CE
 TABLE_LIMIT = 1024        # largest q; every field is its q x q tables
-MAX_CLOSURE = 1 << 24     # covers SU_4(3), 13,063,680 elements
+MAX_CLOSURE = 1 << 24     # cosets; Sp_4(5), the largest target, has 4,680,000
 MAX_RETRIES = 6
 _CHUNK = 1 << 15          # keys or permutation rows per numpy pass
 
 
 class FormViolationError(RuntimeError):
     """A matrix left its defining form: a sampled generator failed
-    is_isometry, or the closure grew past the target order."""
+    is_isometry, or the closure grew past its target count of cosets."""
 
 
 class ClosureError(RuntimeError):
     """An enumeration fell short of its certified count: a closure stalled
-    below its target order within the retry budget, or the permutation
-    scan walked other than n!/2 even permutations."""
+    below its target count of cosets within the retry budget, or the
+    permutation scan walked other than n!/2 even permutations."""
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def is_isometry(F, M, gram, e):
         for i, u in enumerate(cols) for j, v in enumerate(cols)))
 
 
-def random_isometry(F, n, rng, gram=None, e=1):
+def random_isometry(F, n, rng, gram, e):
     """Random det-1 matrix whose columns c keep the form's Gram entries,
     B(c_i, c_j) = gram[i][j]; with gram None, a random element of SL_n.
 
@@ -363,7 +363,7 @@ def _inverse_transpose(F, M):
                  for i in range(len(M)))
 
 
-def form_center(F, n, gram=None, e=1):
+def form_center(F, n, gram, e):
     """The scalars lam for which lam*I is an isometry of the (gram, sigma)
     form, ascending: the centre Z of its det-1 isometry group."""
     return tuple(lam for lam in range(1, F.q)
@@ -443,32 +443,30 @@ def _close_once(F, dim, gens, target, center):
     return visited
 
 
-def closure(generators, target_order: int, field: Field, dim: int,
+def closure(generators, cosets: int, field: Field, dim: int,
             sample, center) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication,
     modulo the scalar subgroup Z whose scalars center lists.
 
     Each coset of Z is one canonical key, its least, so the closure
-    succeeds exactly when it reaches target_order / |Z| cosets;
-    target_order may not exceed MAX_CLOSURE.  Reaching every coset
-    certifies the whole group: in every group this module builds, Z lies
-    in G' as well as in Z(G), hence in the Frattini subgroup (Gaschuetz),
-    whose elements are never needed as generators.  On an undershoot (the
-    generators span a proper subgroup) the generator sample() returns is
-    added and the closure restarts, up to MAX_RETRIES times.  Growth past
-    the target raises FormViolationError immediately.
+    succeeds exactly when it reaches cosets keys; cosets may not exceed
+    MAX_CLOSURE.  Reaching every coset certifies the whole group: in
+    every group this module builds, Z lies in G' as well as in Z(G),
+    hence in the Frattini subgroup (Gaschuetz), whose elements are never
+    needed as generators.  On an undershoot (the generators span a proper
+    subgroup) the generator sample() returns is added and the closure
+    restarts, up to MAX_RETRIES times.  Growth past cosets raises
+    FormViolationError immediately.
     """
-    if target_order > MAX_CLOSURE:
-        raise ValueError(f"target order {target_order} above MAX_CLOSURE = {MAX_CLOSURE}")
-    if target_order % len(center):
-        raise ValueError(f"|Z| = {len(center)} does not divide {target_order}")
-    cosets = target_order // len(center)
+    if cosets > MAX_CLOSURE:
+        raise ValueError(f"{cosets} cosets above MAX_CLOSURE = {MAX_CLOSURE}")
     gens = list(generators)
-    for _ in range(MAX_RETRIES + 1):
+    for retry in range(MAX_RETRIES + 1):
+        if retry:
+            gens.append(sample())
         elements = _close_once(field, dim, gens, cosets, center)
         if elements.size == cosets:
             return MatrixGroup(field, dim, tuple(gens), elements, tuple(center))
-        gens.append(sample())
     raise ClosureError(
         f"closure stalled at {elements.size} of {cosets} cosets after retries")
 
@@ -679,9 +677,11 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 
 def matrix_group(g: GroupId, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SL_n(q), SU_n(q) in GL_n(q^2) or Sp_n(q) for g = L, U or S, closed
-    modulo its centre (form_center) up to prefix * prod(terms) of g's
-    order_terms, so that G/Z is g.  A seeded rng draws two generators, and
-    any extra one on an undershoot, by random_isometry."""
+    modulo its centre (form_center) to exactly order_value(g) cosets, so
+    that G/Z is g; an id that names no simple group raises ParameterError.
+    A seeded rng draws two generators, and any extra one on an undershoot,
+    by random_isometry."""
+    cosets = order_value(g)
     (p, k), n, gram, e = prime_power(g.q), g.n, None, 1
     if g.family == "U":
         k, gram, e = 2 * k, _scalar_matrix(n), g.q
@@ -690,10 +690,9 @@ def matrix_group(g: GroupId, seed: int = DEFAULT_SEED) -> MatrixGroup:
         h, m = n // 2, F.neg(1)
         gram = tuple(tuple(1 if j == i + h else m if i == j + h else 0
                            for j in range(n)) for i in range(n))
-    prefix, terms, _ = order_terms(g.family, n, g.q)
     sample = partial(random_isometry, F, n, random.Random(seed), gram, e)
-    return closure([sample(), sample()], prod(terms, start=prefix), F, n,
-                   sample, form_center(F, n, gram, e))
+    return closure([sample(), sample()], cosets, F, n, sample,
+                   form_center(F, n, gram, e))
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:

@@ -30,9 +30,9 @@ from oracle_ref import (
     scalars_in,
 )
 
-from gkod import oracle
+from gkod import catalog, oracle
 from gkod.arith import primes_upto
-from gkod.catalog import GroupId, order_terms, order_value, parse_label
+from gkod.catalog import GroupId, ParameterError, order_terms, order_value, parse_label
 from gkod.oracle import (
     DEFAULT_SEED,
     ClosureError,
@@ -209,8 +209,8 @@ def test_closure_target_above_max_closure():
 
 def test_closure_undershoot_with_a_stalled_sampler():
     # every resample adds the same unipotent, so the closure stays at its
-    # 5 elements through all MAX_RETRIES restarts; each of the
-    # MAX_RETRIES + 1 closures that falls short draws one generator
+    # 5 elements through all MAX_RETRIES restarts; each restart draws one
+    # generator, and the last closure that falls short draws none
     F = make_field(5, 1)
     unipotent = ((1, 1), (0, 1))
     drawn = []
@@ -221,7 +221,7 @@ def test_closure_undershoot_with_a_stalled_sampler():
 
     with pytest.raises(ClosureError):
         closure([unipotent], 120, F, 2, sample, (1,))
-    assert len(drawn) == oracle.MAX_RETRIES + 1
+    assert len(drawn) == oracle.MAX_RETRIES
 
 
 def test_closure_needs_a_sampler_and_a_center():
@@ -244,25 +244,35 @@ def test_closure_certifies_catalog_order(name, default_group):
     assert grp.elements.size == order_value(g)
 
 
-@pytest.mark.parametrize("wrong", [lambda q, terms: terms + [q + 1],
-                                   lambda q, terms: [q - 1]],
-                         ids=["extra_term", "smaller_term"])
-def test_closure_rejects_order_terms_off_by_one_term(wrong, monkeypatch):
-    """SL_2(5) against order terms with one term too many never reaches
-    its target; with q^2 - 1 replaced by q - 1, it grows past it."""
+@pytest.mark.parametrize("wrong,error", [
+    (lambda q, terms, d: (terms + [q + 1], d), ClosureError),
+    (lambda q, terms, d: ([q - 1], d), FormViolationError),
+    (lambda q, terms, d: (terms, 2 * d), FormViolationError),
+    (lambda q, terms, d: (terms, d // 2), ClosureError)],
+    ids=["extra_term", "smaller_term", "doubled_d", "halved_d"])
+def test_closure_rejects_order_terms_off_by_one_term(wrong, error, monkeypatch):
+    """SL_2(5) against order terms with one term too many, or with its
+    centre order d = 2 halved, never reaches its target; with q^2 - 1
+    replaced by q - 1, or with d doubled, it grows past it.  The closure
+    reads the terms and d through order_value."""
     def off(family, n, q):
         prefix, terms, d = order_terms(family, n, q)
-        return prefix, wrong(q, terms), d
+        return prefix, *wrong(q, terms, d)
 
-    monkeypatch.setattr(oracle, "order_terms", off)
-    with pytest.raises((ClosureError, FormViolationError)):
+    monkeypatch.setattr(catalog, "order_terms", off)
+    with pytest.raises(error):
         sl2_group(5)
+
+
+def test_matrix_group_refuses_a_group_that_is_not_simple():
+    with pytest.raises(ParameterError):
+        matrix_group(GroupId("U", n=3, q=2))
 
 
 def test_center_scalars():
     assert set(sl2_group(5).center_scalars) == {1, 4}   # +-identity
     assert set(su_group(3, 3).center_scalars) == {1}    # gcd(3, 4) = 1
-    assert su_group(3, 2).center_scalars == (1, 2, 3)   # all of F_4^*
+    assert _su3_2().center_scalars == (1, 2, 3)         # all of F_4^*
     F, gram, e, _ = _form_case("SU", 3, 2, 4)
     assert len(form_center(F, 4, gram, e)) == 4         # 4th roots of 1 in F_9
     F, omega, e, _ = _form_case("SP", 5, 1, 4)
@@ -275,7 +285,7 @@ def test_element_order_paths_agree():
     rng = random.Random(7)
     exponent = 720  # |SL2(9)|
     for _ in range(1000):
-        M = random_isometry(F, 2, rng)
+        M = random_isometry(F, 2, rng, None, 1)
         naive = element_order_mod_center(F, M, grp.center_scalars)
         fast = element_order_by_exponent(F, M, exponent, grp.center_scalars)
         assert naive == fast
@@ -285,7 +295,7 @@ def test_matrix_power_matches_iteration():
     F = make_field(7, 1)
     rng = random.Random(3)
     for _ in range(20):
-        M = random_isometry(F, 2, rng)
+        M = random_isometry(F, 2, rng, None, 1)
         P = identity_matrix(2)
         for e in range(1, 10):
             P = mat_mul(F, P, M)
@@ -302,6 +312,24 @@ def _form_case(kind, p, k, n):
     m = F.neg(1)
     omega = ((0, 0, 1, 0), (0, 0, 0, 1), (m, 0, 0, 0), (0, m, 0, 0))
     return F, omega, 1, partial(is_symplectic4, F)
+
+
+def _su3_2(seed=DEFAULT_SEED):
+    """SU_3(2), closed as matrix_group closes a target to its 72 cosets of
+    the centre F_4^*; matrix_group refuses it, as U3(2) is not simple."""
+    F, gram, e, _ = _form_case("SU", 2, 2, 3)
+    sample = partial(random_isometry, F, 3, random.Random(seed), gram, e)
+    return closure([sample(), sample()], 72, F, 3, sample,
+                   form_center(F, 3, gram, e))
+
+
+def test_sampler_and_center_need_a_form():
+    """No default form stands in for SL's beside matrix_group."""
+    F = make_field(5, 1)
+    with pytest.raises(TypeError):
+        random_isometry(F, 2, random.Random(1))
+    with pytest.raises(TypeError):
+        form_center(F, 2)
 
 
 @pytest.mark.parametrize("kind,p,k,n", [
@@ -353,7 +381,7 @@ def test_sp4_3_is_u4_2():
 
 @pytest.mark.parametrize("build", [partial(matrix_group, GroupId("S", n=4, q=3)),
                                    partial(su_group, 3, 3),
-                                   partial(sl2_group, 7), partial(su_group, 3, 2)],
+                                   partial(sl2_group, 7), _su3_2],
                          ids=["SP4_3", "SU3_3", "SL2_7", "SU3_2"])
 def test_elements_independent_of_seed(build):
     want = build(seed=DEFAULT_SEED).elements
@@ -367,7 +395,7 @@ _SMALL_GROUPS = {
     "SL2_7": lambda: sl2_group(7),
     "SL2_9": lambda: sl2_group(9),
     "SL2_13": lambda: sl2_group(13),
-    "SU3_2": lambda: su_group(3, 2),
+    "SU3_2": _su3_2,
     "SU3_3": lambda: su_group(3, 3),
 }
 
@@ -434,12 +462,12 @@ def test_form_center_matches_reference_scalars(name):
 @pytest.mark.parametrize("drop", [1, 2, 3])
 def test_closure_without_a_central_scalar_is_form_violation(drop):
     # without lam, a least key over the rest no longer names one coset of
-    # Z: each coset yields two, past the target |G|/(|Z| - 1)
-    grp = su_group(3, 2)
+    # Z: each coset yields two, past its 72 cosets
+    grp = _su3_2()
     center = tuple(lam for lam in grp.center_scalars if lam != drop)
     with pytest.raises(FormViolationError):
-        closure(grp.generators, grp.order, grp.field, grp.dim, _no_sample,
-                center)
+        closure(grp.generators, grp.elements.size, grp.field, grp.dim,
+                _no_sample, center)
 
 
 @pytest.mark.parametrize("name,count", [
