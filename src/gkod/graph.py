@@ -69,16 +69,25 @@ class PrimeGraph(Record):
         return cls(tuple(sorted(set(vertices))), tuple(norm))
 
     @classmethod
-    def _from_masks(cls, vertices: tuple, masks: tuple) -> "PrimeGraph":
+    def _from_masks(cls, vertices: tuple, masks: tuple, shared=None) -> "PrimeGraph":
         """The graph on ascending vertices whose bit j of masks[i] is set
         iff vertices[i] ~ vertices[j] (symmetric, no loops); edges come
-        out ascending in (i, j), as sorting the edge set would give."""
+        out ascending in (i, j), as sorting the edge set would give.
+        shared, when given, holds one dict per vertex i, filled here with
+        the edge (vertices[i], vertices[j]) under the key 1 << j, so the
+        graphs built with one such list share their edge tuples and it
+        grows with their edges, not with every pair of vertices."""
         edges = []
         for i, m in enumerate(masks):
             higher = m >> i + 1 << i + 1
+            row = shared[i] if shared else None
             while higher:
                 low = higher & -higher
-                edges.append((vertices[i], vertices[low.bit_length() - 1]))
+                if row is None:
+                    e = (vertices[i], vertices[low.bit_length() - 1])
+                elif (e := row.get(low)) is None:
+                    e = row[low] = (vertices[i], vertices[low.bit_length() - 1])
+                edges.append(e)
                 higher ^= low
         return trusted(cls, vertices=vertices, edges=tuple(edges), masks=masks)
 

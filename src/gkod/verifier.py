@@ -5,7 +5,11 @@ For a hypothesized group G with |G| = |S| and D(G) = D(S) the verifier
 enumerates every labeled graph consistent with the degree pattern, splits
 on the pivot adjacency, checks the almost-simple reduction hypotheses
 (t >= 3, t(2) >= 2) on every non-forced member, and applies the
-order-divisibility filter over the computed catalog.  Each case is
+order-divisibility filter over the computed catalog.  The enumeration is
+bounded by its steps, MAX_SEARCH_STEPS partial assignments, not by a
+vertex count: a threshold pattern, such as that of GK(A_n), has exactly
+one realization (Fulkerson-Hoffman-McAndrew 1965; Hammer-Ibaraki-Simeone
+1981) and is found without branching.  Each case is
 configured by the primes pi its solvable radical must avoid; the rest is
 derived: the pivot is the least edge of GK(S) whose presence forces a
 family member to equal GK(S) (none for U4(31)), a candidate P must have
@@ -37,7 +41,10 @@ from .graph import (
 )
 from .spectra import spectrum_of
 
-MAX_PATTERN_VERTICES = 10
+# partial assignments that enumerate_with_pattern may make: U4(31), the
+# largest search among the members of S_p (p <= 97) with a spectrum, takes
+# 2,855, and a threshold pattern on k vertices takes at most k + 1
+MAX_SEARCH_STEPS = 2**16
 
 
 class GraphFamily(Record):
@@ -60,18 +67,30 @@ def enumerate_with_pattern(primes, pattern) -> GraphFamily:
     """Every labeled graph on the ascending primes with exactly the
     requested degree sequence.
 
-    Backtracking over a bitmask adjacency assigns the full neighborhood of
-    one unfinished vertex at a time (vertices ordered by descending
-    requested degree, then ascending prime; neighbors chosen in ascending
-    prime order), which yields each graph exactly once in a deterministic
-    order.  Each graph is built from its masks.
+    A depth-first search over a bitmask adjacency assigns the full
+    neighborhood of one unfinished vertex at a time (vertices ordered by
+    descending requested degree, then ascending prime; neighbors chosen in
+    ascending prime order), which yields each graph exactly once in a
+    deterministic order.  The search keeps an explicit stack of
+    itertools.combinations frames, so no recursion limit applies, and each
+    graph is built from its masks, its edges shared with the other members.
+
+    Each partial assignment, the empty one included, is one step; past
+    MAX_SEARCH_STEPS steps the search raises ParameterError.  A threshold
+    pattern, one with a single labeled realization (Fulkerson-Hoffman-
+    McAndrew 1965; Hammer-Ibaraki-Simeone 1981), takes at most k + 1 steps
+    on k vertices: in a threshold graph a vertex of largest degree is
+    adjacent to every vertex of nonzero degree, and what is left without
+    it is threshold again, so each step has one choice.  GK(A_n) is
+    threshold, as p ~ q iff w(p) + w(q) <= n with w(2) = 4 and w(p) = p
+    otherwise, so A_n never branches.
     """
     primes, pattern = tuple(primes), tuple(pattern)
     if bad := [d for d in pattern if not hasattr(d, "__index__")]:
         raise ValueError(f"degree {bad[0]!r} is not an integer")
     pattern = tuple(map(operator.index, pattern))
-    if len(primes) != len(pattern) or len(primes) > MAX_PATTERN_VERTICES:
-        raise ValueError("need matching prime/degree lists of length <= 10")
+    if len(primes) != len(pattern):
+        raise ValueError("need prime and degree lists of one length")
     if list(primes) != sorted(set(primes)):
         raise ValueError("primes must be strictly increasing")
     k = len(primes)
@@ -79,35 +98,41 @@ def enumerate_with_pattern(primes, pattern) -> GraphFamily:
         return GraphFamily(primes, pattern, (), False)
 
     order = sorted(range(k), key=lambda i: -pattern[i])  # stable: ties by prime
+    shared = [{} for _ in primes]  # the family's edge tuples, by vertex
     remaining = list(pattern)
     masks = [0] * k
     out = []
-
-    def rec():
+    stack = []  # [vertex, its degree, its combinations, the applied one]
+    for _ in range(MAX_SEARCH_STEPS):
         v = next((i for i in order if remaining[i]), None)
         if v is None:
-            out.append(PrimeGraph._from_masks(primes, tuple(masks)))
-            return
-        need = remaining[v]
-        cands = [w for w in range(k)
-                 if w != v and remaining[w] and not masks[v] >> w & 1]
-        if len(cands) < need:
-            return
-        remaining[v] = 0
-        for chosen in itertools.combinations(cands, need):
-            for w in chosen:
-                remaining[w] -= 1
-                masks[w] |= 1 << v
-                masks[v] |= 1 << w
-            rec()
+            out.append(PrimeGraph._from_masks(primes, tuple(masks), shared))
+        else:
+            need, remaining[v] = remaining[v], 0
+            cands = [w for w in range(k) if remaining[w] and not masks[v] >> w & 1]
+            stack.append([v, need, itertools.combinations(cands, need), ()])
+        # undo the deepest applied neighborhood and apply its successor,
+        # popping each frame whose combinations are spent
+        while stack:
+            frame = stack[-1]
+            v, need, combos, chosen = frame
             for w in chosen:
                 remaining[w] += 1
                 masks[w] ^= 1 << v
                 masks[v] ^= 1 << w
-        remaining[v] = need
-
-    rec()
-    return GraphFamily(primes, pattern, tuple(out), True)
+            frame[3] = chosen = next(combos, None)
+            if chosen is not None:
+                for w in chosen:
+                    remaining[w] -= 1
+                    masks[w] |= 1 << v
+                    masks[v] |= 1 << w
+                break
+            remaining[v] = need
+            stack.pop()
+        else:
+            return GraphFamily(primes, pattern, tuple(out), True)
+    raise ParameterError(f"degree pattern search passed MAX_SEARCH_STEPS = "
+                         f"{MAX_SEARCH_STEPS} partial assignments")
 
 
 class VasilievResult(Record):

@@ -21,7 +21,8 @@ over partitions, kept here as partition_orders_alternating.
 
 The rest are the routines replaced in arith, catalog, graph and verifier:
 prime_power by trial division over a sieve, is_prime by the 13-base
-Miller-Rabin test alone, the quadratic antichain filter, validate_group
+Miller-Rabin test alone and with the strong Lucas step above psi_13, the
+quadratic antichain filter, validate_group
 with one branch per family in place of the dimension table,
 enumerate_S_p over plain bounds with no q - 1 gate, no search space
 from Zsigmondy's theorem and p tested on the whole order, and the
@@ -31,7 +32,8 @@ each member of mu on its own and tests pq against every member, and
 neighbour sets with a depth-first component search in place of the one
 bitmask adjacency.  build_gk and enumerate_with_pattern built each graph
 from an edge set, sorted and checked by the PrimeGraph constructor, before
-the masks were derived from it.  Last come degree classes and the
+the masks were derived from it, and the pattern search recursed with no
+step bound.  Last come degree classes, the threshold peel and the
 mu-versus-closure graph equivalence, facts that only the tests check.
 prime_support (with NonSmoothError), omega_alternating and
 prime_factors, whose unbounded trial division build_gk once ran on a
@@ -46,7 +48,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from gkod.arith import (
+    _PSI_13,
     Factorization,
+    _strong_lucas_prp,
     divisor_closure,
     factorize,
     is_prime,
@@ -84,7 +88,7 @@ from gkod.oracle import (
     mat_det,
 )
 from gkod.spectra import mu_alternating
-from gkod.verifier import MAX_PATTERN_VERTICES, GraphFamily
+from gkod.verifier import GraphFamily
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +594,12 @@ def is_prime_mr13(n):
     return True
 
 
+def is_prime_13_bases(n):
+    """arith.is_prime with the 13 bases at every n: exact below psi_13,
+    followed by the strong Lucas step from psi_13 on."""
+    return is_prime_mr13(n) and (n < _PSI_13 or _strong_lucas_prp(n))
+
+
 def maximal_under_divisibility_quadratic(values):
     """Members of the set not properly dividing another member, ascending;
     every pair is compared."""
@@ -813,8 +823,8 @@ def enumerate_with_pattern_sets(primes, pattern):
     each graph sorted and checked by the PrimeGraph constructor."""
     primes = tuple(primes)
     pattern = tuple(int(d) for d in pattern)
-    if len(primes) != len(pattern) or len(primes) > MAX_PATTERN_VERTICES:
-        raise ValueError("need matching prime/degree lists of length <= 10")
+    if len(primes) != len(pattern):
+        raise ValueError("need prime and degree lists of one length")
     k = len(primes)
     if sum(pattern) % 2 or any(not 0 <= d <= k - 1 for d in pattern):
         return GraphFamily(primes, pattern, (), False)
@@ -944,6 +954,20 @@ def degree_classes(g):
     isolated = len(classes.get(0, ()))
     full = classes.get(len(g.vertices) - 1, ())
     return DegreeClasses(classes, s, s >= isolated, (not full) or s == 1)
+
+
+def is_threshold(g):
+    """Whether g is a threshold graph: peeling an isolated or a dominating
+    vertex of what is left, over and over, empties it."""
+    adj = adjacency(g)
+    left = set(g.vertices)
+    while left:
+        v = next((v for v in sorted(left)
+                  if len(adj[v] & left) in (0, len(left) - 1)), None)
+        if v is None:
+            return False
+        left.discard(v)
+    return True
 
 
 def graph_equivalent_under_closure(order, mu):

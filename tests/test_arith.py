@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_ref import (
     NonSmoothError,
+    is_prime_13_bases,
     is_prime_mr13,
     maximal_under_divisibility_quadratic,
     prime_factors,
@@ -171,6 +172,21 @@ def test_is_prime_matches_13_base_test_above_psi_13():
         primes += is_prime(n)
         assert is_prime(n) == is_prime_mr13(n), n
     assert primes > 10
+
+
+@pytest.mark.parametrize("n,prime", [
+    (2**127 - 1, True),
+    (2**521 - 1, True),
+    ((2**127 - 1) * (2**521 - 1), False),
+    (PSI_13, False),
+    (3 * PSI_13, False),
+    (PSI_13 * (2**127 - 1), False),
+    (PSI_13 * PSI_13, False),
+])
+def test_is_prime_matches_13_bases_and_lucas_above_psi_13(n, prime):
+    """Above psi_13 is_prime runs base 2 and the strong Lucas step; the
+    13 bases followed by that step give the same answer."""
+    assert is_prime(n) == is_prime_13_bases(n) == prime
 
 
 def test_strong_lucas_pseudoprimes_below_30000():

@@ -2,12 +2,16 @@ import itertools
 import json
 import random
 import re
+import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracle_ref import enumerate_with_pattern_sets
+from oracle_ref import enumerate_with_pattern_sets, is_threshold
 
+from gkod import verifier
+from gkod.arith import primes_upto
 from gkod.catalog import (
     CHARACTERISTIC_BOUND,
     ParameterError,
@@ -191,12 +195,117 @@ def test_enumeration_needs_ascending_primes():
         enumerate_with_pattern((3, 2), (1, 1))
     with pytest.raises(ValueError):
         enumerate_with_pattern((2, 2), (1, 1))
+    with pytest.raises(ValueError, match="one length"):
+        enumerate_with_pattern((2, 3, 5), (1, 1))
 
 
 def test_enumeration_deterministic():
     a = enumerate_with_pattern((2, 3, 5, 13, 31, 37), (3, 3, 3, 1, 3, 1))
     b = enumerate_with_pattern((2, 3, 5, 13, 31, 37), (3, 3, 3, 1, 3, 1))
     assert a.graphs == b.graphs
+
+
+def test_family_members_share_edge_tuples():
+    """Members of one family share each edge tuple."""
+    fam = enumerate_with_pattern((2, 3, 5, 13, 31, 37), (3, 3, 3, 1, 3, 1))
+    first = {}
+    for g in fam.graphs:
+        for e in g.edges:
+            assert first.setdefault(e, e) is e
+
+
+def _spectrum_members():
+    """(label, GK(S)) for each member S of S_p, p <= 97, with a spectrum."""
+    out = []
+    for p in primes_upto(97)[2:]:
+        for g in enumerate_S_p(p):
+            try:
+                out.append((g.label(), build_gk(order_of(g), spectrum_of(g))))
+            except ParameterError:
+                continue
+    return out
+
+
+def test_every_spectrum_member_of_s_p_is_in_its_family(monkeypatch):
+    """Each family holds GK(S), and only it iff GK(S) is threshold, which
+    an independent peel decides.  A5-A100 (up to 25 vertices) have
+    threshold graphs, so each family is [GK(A_n)].  No search takes more
+    steps than U4(31)'s 2,855, and the neighbour-set search agrees on
+    every family."""
+    members = _spectrum_members()
+    alternating = [label for label, _ in members if label.startswith("A")]
+    assert alternating == [f"A{n}" for n in range(5, 101)]
+    monkeypatch.setattr(verifier, "MAX_SEARCH_STEPS", 2855)
+    for label, gk in members:
+        fam = _same_family(gk.vertices, degree_pattern(gk).degrees)
+        assert gk in fam.graphs, label
+        assert (len(fam) == 1) == is_threshold(gk), label
+        if label.startswith("A"):
+            assert fam.graphs == (gk,), label
+
+
+def test_threshold_graphs_are_their_whole_family(monkeypatch):
+    """A threshold graph, built by adding each vertex isolated or
+    dominating, is the one graph of its pattern, found in at most k + 1
+    steps on k vertices."""
+    rng = random.Random(20261022)
+    primes = primes_upto(173)
+    for _ in range(150):
+        k = rng.randint(2, 40)
+        order = rng.sample(range(k), k)
+        edges = []
+        for n, v in enumerate(order):
+            if rng.random() < 0.5:
+                edges += [(primes[min(u, v)], primes[max(u, v)]) for u in order[:n]]
+        g = PrimeGraph.from_edges(primes[:k], edges)
+        assert is_threshold(g)
+        monkeypatch.setattr(verifier, "MAX_SEARCH_STEPS", k + 1)
+        fam = enumerate_with_pattern(g.vertices, degree_pattern(g).degrees)
+        assert fam.graphs == (g,)
+
+
+def test_step_bound_counts_partial_assignments(monkeypatch):
+    """U4(31) takes 2,855 steps; a threshold pattern on k vertices at
+    most k + 1."""
+    u4 = TABLE1_FAMILIES[3][1:3]
+    monkeypatch.setattr(verifier, "MAX_SEARCH_STEPS", 2855)
+    assert len(enumerate_with_pattern(*u4)) == 921
+    monkeypatch.setattr(verifier, "MAX_SEARCH_STEPS", 2854)
+    with pytest.raises(ParameterError, match="MAX_SEARCH_STEPS = 2854"):
+        enumerate_with_pattern(*u4)
+    gk = gk_of("A100")
+    monkeypatch.setattr(verifier, "MAX_SEARCH_STEPS", len(gk.vertices) + 1)
+    assert enumerate_with_pattern(gk.vertices, degree_pattern(gk).degrees).graphs == (gk,)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_regular_patterns_on_ten_vertices_stop_at_the_bound(degree):
+    """(3,)*10 has 11,180,820 labelled graphs; the search stops at
+    MAX_SEARCH_STEPS instead of building them."""
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="MAX_SEARCH_STEPS"):
+        enumerate_with_pattern(primes_upto(29), (degree,) * 10)
+    assert time.perf_counter() - start < 1.0
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_complete_pattern_needs_no_recursion():
+    """A complete pattern on 300 vertices under a recursion limit that a
+    search recursing once per vertex would pass."""
+    primes = primes_upto(2000)[:300]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        fam = enumerate_with_pattern(primes, (299,) * 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(fam) == 1 and len(fam.graphs[0].edges) == 300 * 299 // 2
 
 
 # ---------------------------------------------------------------------------
