@@ -11,7 +11,8 @@ formula side is the one gk reports.
 
 Closure and the element-order scan run on packed uint64 keys through
 numpy; a dim x dim matrix over F_q must fit in 64 bits (dim^2 *
-bitlen(q-1) <= 64), which covers every target this module registers.
+bitlen(q-1) <= 64), which holds for every group within matrix_group's
+bounds on cosets and fields.
 Products with a generator are row-table lookups on the keys.  A group G
 is enumerated modulo its centre Z, the scalars of its form: each coset
 of Z is one key, the least of lam*x over Z, so the arrays hold |G|/|Z|
@@ -103,7 +104,8 @@ class Field:
     def __init__(self, p: int, k: int):
         q = p**k
         if not (1 <= k <= 6 and q <= TABLE_LIMIT):
-            raise ValueError(f"field bounds exceeded: need k <= 6 and p^k <= {TABLE_LIMIT}")
+            raise ParameterError(f"field of {p}^{k} elements: need k <= 6 "
+                                 f"and p^k <= TABLE_LIMIT = {TABLE_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p, self.k, self.q = p, k, q
@@ -678,10 +680,18 @@ def alternating_spectrum_bruteforce(n: int) -> Spectrum:
 def matrix_group(g: GroupId, seed: int = DEFAULT_SEED) -> MatrixGroup:
     """SL_n(q), SU_n(q) in GL_n(q^2) or Sp_n(q) for g = L, U or S, closed
     modulo its centre (form_center) to exactly order_value(g) cosets, so
-    that G/Z is g; an id that names no simple group raises ParameterError.
+    that G/Z is g.  An id that names no simple group, or one the oracle
+    cannot close (another family, more than MAX_CLOSURE cosets, or a field
+    outside make_field's bounds), raises ParameterError before any work.
     A seeded rng draws two generators, and any extra one on an undershoot,
     by random_isometry."""
     cosets = order_value(g)
+    if g.family not in _GROUP_PREFIX:
+        raise ParameterError(f"{g.label()}: no matrix group for family {g.family!r} "
+                             f"(covered: {', '.join(_GROUP_PREFIX)})")
+    if cosets > MAX_CLOSURE:
+        raise ParameterError(
+            f"{g.label()}: {cosets} cosets above MAX_CLOSURE = {MAX_CLOSURE}")
     (p, k), n, gram, e = prime_power(g.q), g.n, None, 1
     if g.family == "U":
         k, gram, e = 2 * k, _scalar_matrix(n), g.q
@@ -696,10 +706,12 @@ def matrix_group(g: GroupId, seed: int = DEFAULT_SEED) -> MatrixGroup:
 
 
 def sl2_group(q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
+    """matrix_group of L2(q), kept because bench/workloads.py calls it."""
     return matrix_group(GroupId("L", n=2, q=q), seed)
 
 
 def su_group(n: int, q: int, seed: int = DEFAULT_SEED) -> MatrixGroup:
+    """matrix_group of U_n(q), kept because bench/workloads.py calls it."""
     return matrix_group(GroupId("U", n=n, q=q), seed)
 
 

@@ -86,19 +86,16 @@ def mu_S4(q: int) -> Spectrum:
 
 
 def mu_U3(q: int) -> Spectrum:
-    """Maximal orders of the 3-dimensional projective unitary group, odd q.
-
-    Two cases: for q = -1 (mod 3) the values (q^2-q+1)/3, (q^2-1)/3,
-    p(q+1)/3 and q+1; otherwise q^2-q+1, q^2-1 and p(q+1).
-    """
+    """Maximal orders of the 3-dimensional projective unitary group, odd q:
+    with d = gcd(3, q+1), the antichain of (q^2-q+1)/d, (q^2-1)/d, p(q+1)/d
+    and q+1."""
     p = _char_of(q, "U3")
-    if p == 2 or q < 3:
+    if p == 2:
         raise UnsupportedParameterError(f"U3({q}): needs odd q >= 3")
-    if q % 3 == 2:
-        vals = [(q * q - q + 1) // 3, (q * q - 1) // 3, p * (q + 1) // 3, q + 1]
-    else:
-        vals = [q * q - q + 1, q * q - 1, p * (q + 1)]
-    return Spectrum.from_values(vals, SOURCE_FORMULA)
+    d = gcd(3, q + 1)
+    return Spectrum.from_values(
+        [(q * q - q + 1) // d, (q * q - 1) // d, p * (q + 1) // d, q + 1],
+        SOURCE_FORMULA)
 
 
 def mu_G2(q: int) -> Spectrum:
@@ -114,20 +111,15 @@ def mu_G2(q: int) -> Spectrum:
 
 
 def mu_U4(q: int) -> Spectrum:
-    """Maximal orders of the 4-dimensional projective unitary group, odd q.
-
-    With d = gcd(4, q+1): always (q-1)(q^2+1)/d, (q^3+1)/d, p(q^2-1)/d and
-    q^2-1; additionally p(q+1) exactly when d = 4, and 9 exactly when the
-    characteristic is 3.
-    """
+    """Maximal orders of the 4-dimensional projective unitary group, odd q:
+    with d = gcd(4, q+1), the antichain of (q-1)(q^2+1)/d, (q^3+1)/d,
+    p(q^2-1)/d, q^2-1, p(q+1), and 9 when the characteristic is 3."""
     p = _char_of(q, "U4")
     if p == 2:
         raise UnsupportedParameterError(f"U4({q}): needs odd q")
     d = gcd(4, q + 1)
     vals = [(q - 1) * (q * q + 1) // d, (q**3 + 1) // d,
-            p * (q * q - 1) // d, q * q - 1]
-    if d == 4:
-        vals.append(p * (q + 1))
+            p * (q * q - 1) // d, q * q - 1, p * (q + 1)]
     if p == 3:
         vals.append(9)
     return Spectrum.from_values(vals, SOURCE_FORMULA)

@@ -17,7 +17,10 @@ over the whole label array at once, the permutation scan
 that follows every point with one gather per step, and the
 per-permutation cycle loop.
 The prime-power criterion of spectra.mu_alternating replaced a recursion
-over partitions, kept here as partition_orders_alternating.
+over partitions, kept here as partition_orders_alternating, and the
+closed forms of spectra.mu_U3 and mu_U4, which list every member and leave
+the dominated ones to the antichain, replaced forms that dropped them by
+cases on q, kept as mu_U3_by_cases and mu_U4_by_cases.
 
 The rest are the routines replaced in arith, catalog, graph and verifier:
 prime_power by trial division over a sieve, is_prime by the 13-base
@@ -42,7 +45,7 @@ foreign cofactor, are helpers that only the tests use.
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,7 +90,13 @@ from gkod.oracle import (
     _row_table,
     mat_det,
 )
-from gkod.spectra import mu_alternating
+from gkod.spectra import (
+    SOURCE_FORMULA,
+    Spectrum,
+    UnsupportedParameterError,
+    _char_of,
+    mu_alternating,
+)
 from gkod.verifier import GraphFamily
 
 
@@ -511,6 +520,42 @@ def partition_orders_alternating(n):
 
     rec(n, n, 0, 1)
     return orders
+
+
+def mu_U3_by_cases(q):
+    """spectra.mu_U3 with the dominated members dropped by hand.
+
+    Two cases: for q = -1 (mod 3) the values (q^2-q+1)/3, (q^2-1)/3,
+    p(q+1)/3 and q+1; otherwise q^2-q+1, q^2-1 and p(q+1).
+    """
+    p = _char_of(q, "U3")
+    if p == 2 or q < 3:
+        raise UnsupportedParameterError(f"U3({q}): needs odd q >= 3")
+    if q % 3 == 2:
+        vals = [(q * q - q + 1) // 3, (q * q - 1) // 3, p * (q + 1) // 3, q + 1]
+    else:
+        vals = [q * q - q + 1, q * q - 1, p * (q + 1)]
+    return Spectrum.from_values(vals, SOURCE_FORMULA)
+
+
+def mu_U4_by_cases(q):
+    """spectra.mu_U4 with the dominated member p(q+1) dropped by hand.
+
+    With d = gcd(4, q+1): always (q-1)(q^2+1)/d, (q^3+1)/d, p(q^2-1)/d and
+    q^2-1; additionally p(q+1) exactly when d = 4, and 9 exactly when the
+    characteristic is 3.
+    """
+    p = _char_of(q, "U4")
+    if p == 2:
+        raise UnsupportedParameterError(f"U4({q}): needs odd q")
+    d = gcd(4, q + 1)
+    vals = [(q - 1) * (q * q + 1) // d, (q**3 + 1) // d,
+            p * (q * q - 1) // d, q * q - 1]
+    if d == 4:
+        vals.append(p * (q + 1))
+    if p == 3:
+        vals.append(9)
+    return Spectrum.from_values(vals, SOURCE_FORMULA)
 
 
 class NonSmoothError(ValueError):

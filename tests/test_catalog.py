@@ -242,6 +242,36 @@ def test_enumerate_gate_matches_ungated_loop():
         assert enumerate_S_p(p) == enumerate_S_p_ungated(p), p
 
 
+# (n, q) of the pairs O_{2n+1}(q), S_{2n}(q) of equal order among the
+# members of S_p, p = 5..97
+_ARTIN_O_S = [(3, 3), (3, 5), (3, 7), (3, 9), (3, 11), (3, 23), (4, 3),
+              (5, 3), (6, 3)]
+
+
+def test_equal_orders_are_artins_pairs():
+    """Distinct simple groups of equal order are A8 and L3(4), or
+    O_{2n+1}(q) and S_{2n}(q) with n >= 3 and q odd (Artin 1955;
+    Kimmerle-Lyons-Sandling-Teague, Proc. LMS 60, 1990).  Over S_p for
+    p = 5..97 there are ten such pairs."""
+    start = time.perf_counter()
+    by_order = {}
+    for p in primes_upto(97)[2:]:
+        for g in enumerate_S_p(p):
+            by_order.setdefault(order_value(g), set()).add(g)
+    pairs = [sorted(gs, key=GroupId.sort_key) for gs in by_order.values()
+             if len(gs) > 1]
+    assert time.perf_counter() - start < 1
+    assert sorted([g.label() for g in pair] for pair in pairs) == sorted(
+        [["A8", "L3(4)"]]
+        + [[f"S{2 * n}({q})", f"O{2 * n + 1}({q})"] for n, q in _ARTIN_O_S])
+    for a, b in pairs:
+        if a.family == "A":
+            assert (a, b) == (parse_label("A8"), parse_label("L3(4)"))
+        else:
+            assert (a.family, b.family, b.n, b.q) == ("S", "O", a.n + 1, a.q)
+            assert a.n >= 6 and a.q % 2 == 1
+
+
 def test_field_exponents_cover_every_smooth_exponent():
     for p in primes_upto(97):
         plist = primes_upto(p)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 from functools import lru_cache, partial
 from math import factorial
 
@@ -176,9 +178,21 @@ def test_formula_vs_oracle_u4_3(oracle_runner):
     assert res.mu_oracle.mu == (5, 7, 8, 9, 12)
 
 
+@pytest.mark.parametrize("shim,g", [
+    (partial(sl2_group, 7), GroupId("L", n=2, q=7)),
+    (partial(su_group, 3, 3), GroupId("U", n=3, q=3))], ids=["SL2_7", "SU3_3"])
+def test_shims_build_matrix_group(shim, g):
+    """sl2_group and su_group draw matrix_group's generators and close its
+    elements at the same seed."""
+    for seed in (DEFAULT_SEED, 7):
+        got, want = shim(seed=seed), matrix_group(g, seed)
+        assert got.generators == want.generators
+        assert np.array_equal(got.elements, want.elements)
+
+
 def test_closure_deterministic_with_seed():
-    a = sl2_group(7, seed=DEFAULT_SEED)
-    b = sl2_group(7, seed=DEFAULT_SEED)
+    a = matrix_group(GroupId("L", n=2, q=7), seed=DEFAULT_SEED)
+    b = matrix_group(GroupId("L", n=2, q=7), seed=DEFAULT_SEED)
     assert a.order == b.order == 336
     assert a.generators == b.generators
     assert (a.elements == b.elements).all()
@@ -261,7 +275,7 @@ def test_closure_rejects_order_terms_off_by_one_term(wrong, error, monkeypatch):
 
     monkeypatch.setattr(catalog, "order_terms", off)
     with pytest.raises(error):
-        sl2_group(5)
+        matrix_group(GroupId("L", n=2, q=5))
 
 
 def test_matrix_group_refuses_a_group_that_is_not_simple():
@@ -269,9 +283,27 @@ def test_matrix_group_refuses_a_group_that_is_not_simple():
         matrix_group(GroupId("U", n=3, q=2))
 
 
+@pytest.mark.parametrize("label,bound", [
+    ("U3(16)", "MAX_CLOSURE"), ("U3(27)", "MAX_CLOSURE"),
+    ("S4(11)", "MAX_CLOSURE"), ("L2(128)", "TABLE_LIMIT"),
+    ("G2(3)", "covered: L, U, S")])
+def test_matrix_group_refuses_what_it_cannot_close(label, bound, monkeypatch):
+    """A group past MAX_CLOSURE cosets, over a field past make_field's
+    bounds (F_{2^7}, with 2,097,024 cosets of L2(128)) or of a family with
+    no matrix group raises ParameterError naming the bound, before a
+    generator is drawn."""
+    monkeypatch.setattr(oracle, "random_isometry",
+                        lambda *args: pytest.fail("a generator was drawn"))
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=re.escape(bound)):
+        matrix_group(parse_label(label))
+    assert time.perf_counter() - start < 0.05
+
+
 def test_center_scalars():
-    assert set(sl2_group(5).center_scalars) == {1, 4}   # +-identity
-    assert set(su_group(3, 3).center_scalars) == {1}    # gcd(3, 4) = 1
+    sl2_5, su3_3 = GroupId("L", n=2, q=5), GroupId("U", n=3, q=3)
+    assert set(matrix_group(sl2_5).center_scalars) == {1, 4}   # +-identity
+    assert set(matrix_group(su3_3).center_scalars) == {1}      # gcd(3, 4) = 1
     assert _su3_2().center_scalars == (1, 2, 3)         # all of F_4^*
     F, gram, e, _ = _form_case("SU", 3, 2, 4)
     assert len(form_center(F, 4, gram, e)) == 4         # 4th roots of 1 in F_9
@@ -280,7 +312,7 @@ def test_center_scalars():
 
 
 def test_element_order_paths_agree():
-    grp = sl2_group(9)
+    grp = matrix_group(GroupId("L", n=2, q=9))
     F = grp.field
     rng = random.Random(7)
     exponent = 720  # |SL2(9)|
@@ -356,7 +388,7 @@ def test_isometry_matches_hand_coded_checks(kind, p, k, n):
 def test_sampled_non_isometry_is_form_violation(monkeypatch):
     monkeypatch.setattr("gkod.oracle.is_isometry", lambda *args: False)
     with pytest.raises(FormViolationError):
-        sl2_group(5)
+        matrix_group(GroupId("L", n=2, q=5))
 
 
 @pytest.mark.parametrize("g,ref", [
@@ -379,10 +411,10 @@ def test_sp4_3_is_u4_2():
     assert spectrum_mod_center(grp).mu == (5, 9, 12)
 
 
-@pytest.mark.parametrize("build", [partial(matrix_group, GroupId("S", n=4, q=3)),
-                                   partial(su_group, 3, 3),
-                                   partial(sl2_group, 7), _su3_2],
-                         ids=["SP4_3", "SU3_3", "SL2_7", "SU3_2"])
+@pytest.mark.parametrize("build", [
+    *(partial(matrix_group, g) for g in (
+        GroupId("S", n=4, q=3), GroupId("U", n=3, q=3), GroupId("L", n=2, q=7))),
+    _su3_2], ids=["SP4_3", "SU3_3", "SL2_7", "SU3_2"])
 def test_elements_independent_of_seed(build):
     want = build(seed=DEFAULT_SEED).elements
     for seed in (1, 2):
@@ -390,13 +422,13 @@ def test_elements_independent_of_seed(build):
 
 
 _SMALL_GROUPS = {
-    "SL2_4": lambda: sl2_group(4),
-    "SL2_5": lambda: sl2_group(5),
-    "SL2_7": lambda: sl2_group(7),
-    "SL2_9": lambda: sl2_group(9),
-    "SL2_13": lambda: sl2_group(13),
+    "SL2_4": lambda: matrix_group(GroupId("L", n=2, q=4)),
+    "SL2_5": lambda: matrix_group(GroupId("L", n=2, q=5)),
+    "SL2_7": lambda: matrix_group(GroupId("L", n=2, q=7)),
+    "SL2_9": lambda: matrix_group(GroupId("L", n=2, q=9)),
+    "SL2_13": lambda: matrix_group(GroupId("L", n=2, q=13)),
     "SU3_2": _su3_2,
-    "SU3_3": lambda: su_group(3, 3),
+    "SU3_3": lambda: matrix_group(GroupId("U", n=3, q=3)),
 }
 
 
@@ -486,7 +518,7 @@ def test_conjugacy_class_counts(name, count):
 @pytest.mark.parametrize("q", [5, 7, 9, 13])
 def test_projective_class_counts(q):
     """PSL2(q) has (q + 5)/2 classes for odd q."""
-    label = conjugacy_classes(sl2_group(q))
+    label = conjugacy_classes(matrix_group(GroupId("L", n=2, q=q)))
     assert np.unique(label).size == (q + 5) // 2
 
 
@@ -494,7 +526,7 @@ def test_conjugate_outside_elements_is_form_violation(monkeypatch):
     # drop one non-central element: the generator that does not commute
     # with it maps another element's conjugate onto the missing key; the
     # check must catch it whole and in pieces of three keys
-    grp = sl2_group(5)
+    grp = matrix_group(GroupId("L", n=2, q=5))
     key = _pack(np.array([((1, 1), (0, 1))], dtype=np.uint16),
                 _bits_for(grp.field))
     assert np.isin(key, grp.elements).all()
@@ -510,7 +542,7 @@ def test_conjugate_outside_elements_is_form_violation(monkeypatch):
 def test_conjugate_of_a_key_outside_the_group_is_form_violation():
     # same size: one non-central key is swapped for the coset key of
     # diag(2, 1), of determinant 2, whose conjugates are no elements either
-    grp = sl2_group(5)
+    grp = matrix_group(GroupId("L", n=2, q=5))
     bits = _bits_for(grp.field)
     key, outside = _pack(np.array([((1, 1), (0, 1)), ((2, 0), (0, 1))],
                                   dtype=np.uint16), bits)
@@ -575,7 +607,7 @@ def test_class_labels_match_whole_array_reference(name, default_group, default_l
 def test_spectrum_mod_center_support():
     """Divisor-closure support of the oracle spectrum equals the primes of
     the central quotient's order."""
-    grp = sl2_group(9)
+    grp = matrix_group(GroupId("L", n=2, q=9))
     mu = spectrum_mod_center(grp)
     sup = set()
     for m in mu:

@@ -2,12 +2,14 @@ import time
 
 import pytest
 from oracle_ref import (
+    mu_U3_by_cases,
+    mu_U4_by_cases,
     omega_alternating,
     partition_orders_alternating,
     prime_support,
 )
 
-from gkod.arith import maximal_under_divisibility
+from gkod.arith import maximal_under_divisibility, primes_upto
 from gkod.catalog import ParameterError, order_of, parse_label, s37_reference
 from gkod.spectra import (
     Spectrum,
@@ -59,6 +61,19 @@ def test_mu_formula_values(fn, q, expected):
 def test_mu_u4_antichain_reduction_absorbs_divisor():
     # at q = 3 the raw value p(q^2-1)/d = 6 divides p(q+1) = 12
     assert 6 not in mu_U4(3).mu and 12 in mu_U4(3).mu
+
+
+def test_unitary_forms_match_the_forms_by_cases():
+    """Listing every member and letting the antichain drop the dominated
+    ones gives the spectra of the forms that dropped them by cases, at
+    every odd prime power q < 2*10^5."""
+    bound = 2 * 10**5
+    qs = [p**k for p in primes_upto(bound)[1:]
+          for k in range(1, bound.bit_length()) if p**k < bound]
+    assert len(qs) == 18103
+    for q in qs:
+        assert mu_U3(q) == mu_U3_by_cases(q), q
+        assert mu_U4(q) == mu_U4_by_cases(q), q
 
 
 def test_mu_alternating_small():
